@@ -4,12 +4,15 @@
 // ClusterSim's failure-domain behaviour — an inert plan is byte-identical to
 // no plan, a faulted run is bit-identical across job counts and reruns,
 // demand is conserved every epoch (queued and dead-node demand is charged,
-// never dropped), total blackouts trip the watchdog without wedging
-// placement, certain crashes take the fleet down and bring it back, and warm
-// and cold restarts produce genuinely different fleets.
+// never dropped), admission control falls back to the least-loaded node and
+// then queues with capped backoff, total blackouts trip the watchdog and the
+// degradation ladder without wedging placement, certain crashes take the
+// fleet down and bring it back, and warm and cold restarts produce genuinely
+// different fleets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -238,11 +241,123 @@ TEST(ClusterFaultSim, TotalBlackoutSuspectsTheFleetWithoutWedgingPlacement) {
   }
   EXPECT_EQ(max_suspected, cc.nodes);
   EXPECT_GT(r.completed_krps, 0.0);
+  // The degradation ladder: epoch 0 has no telemetry to distrust; every
+  // later storm epoch sees the whole fleet stale and drops to rung 2
+  // (random); so does the first recovery epoch, which places on the storm's
+  // last missed export; once exports resume the ladder returns to native.
+  std::vector<int> modes;
+  for (const EpochStats& e : r.epochs) modes.push_back(e.placement_mode);
+  EXPECT_EQ(modes, (std::vector<int>{0, 2, 2, 2, 2, 0}));
   // The epochs counter reflects the full faulted loop.
   EXPECT_EQ(ctx.metrics().find_counter(obs::names::kClusterEpochs)->value(),
             static_cast<double>(plan.epochs));
   EXPECT_EQ(ctx.metrics().find_counter(obs::names::kFaultNodeBlackouts)->value(),
             static_cast<double>(r.node_blackouts));
+}
+
+TEST(ClusterFaultSim, AdmissionControlFallsBackThenQueuesWithCappedBackoff) {
+  // An active plan that injects nothing (certain crashes, but no storm
+  // epochs) runs the failover path on a healthy fleet. Under a cap of 40% of
+  // a node, bin packing (blind to request rate) keeps proposing nodes the
+  // cap refuses: some refused tenants land on the least-loaded node, the
+  // rest queue, and the largest tenant can never land anywhere.
+  ClusterConfig cc = tiny_cluster();
+  ClusterFaultPlan plan;
+  plan.node_crash_prob = 1.0;
+  plan.storm_epochs = 0;
+  plan.epochs = 6;
+  plan.max_backoff_epochs = 2;
+  plan.admission_max_utilization = 0.4;
+  cc.faults = plan;
+  ClusterSim sim(cc);
+  double total = 0, largest = 0;
+  std::size_t largest_t = 0;
+  for (std::size_t t = 0; t < sim.tenants().size(); ++t) {
+    const double d = sim.tenants()[t].demand_krps;
+    total += d;
+    if (d > largest) {
+      largest = d;
+      largest_t = t;
+    }
+  }
+  ASSERT_GT(largest / cc.node_capacity_krps, plan.admission_max_utilization);
+  const auto policy = make_bin_packing_placement();
+  const ClusterResult r = sim.run(*policy);
+  ASSERT_EQ(r.epochs.size(), static_cast<std::size_t>(plan.epochs));
+  EXPECT_EQ(r.node_crashes + r.node_stragglers + r.node_blackouts, 0);
+
+  // Reference model of the admission protocol over the same tenants. Bin
+  // packing reads neither telemetry nor the RNG, so every proposal is known.
+  const std::vector<TenantStream>& tenants = sim.tenants();
+  const std::size_t n_nodes = static_cast<std::size_t>(cc.nodes);
+  std::vector<int> backoff(tenants.size(), 0), retry_at(tenants.size(), 0);
+  std::vector<bool> queued(tenants.size(), false);
+  std::vector<int> largest_retry_epochs;
+  int retries = 0, landed_fallbacks = 0, others_queued = 0;
+  Rng unused(0);
+  for (int e = 0; e < plan.epochs; ++e) {
+    std::vector<NodeState> nodes(n_nodes);
+    for (std::size_t n = 0; n < n_nodes; ++n) {
+      nodes[n].node_id = static_cast<int>(n);
+      nodes[n].fmem_capacity = cc.node.fmem;
+      nodes[n].capacity_krps = cc.node_capacity_krps;
+    }
+    int queued_now = 0;
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+      const double d = tenants[t].demand_krps;
+      if (queued[t] && e < retry_at[t]) {
+        ++queued_now;
+        continue;
+      }
+      if (queued[t]) {
+        ++retries;
+        if (t == largest_t) largest_retry_epochs.push_back(e);
+      }
+      std::size_t chosen = policy->place(tenants[t], nodes, unused);
+      if (nodes[chosen].projected_utilization(d) > plan.admission_max_utilization) {
+        double best = std::numeric_limits<double>::infinity();
+        for (std::size_t n = 0; n < n_nodes; ++n)
+          if (nodes[n].projected_utilization(d) < best) {
+            best = nodes[n].projected_utilization(d);
+            chosen = n;
+          }
+        if (best > plan.admission_max_utilization) {
+          backoff[t] = backoff[t] == 0 ? 1 : std::min(2 * backoff[t], plan.max_backoff_epochs);
+          retry_at[t] = e + backoff[t];
+          queued[t] = true;
+          ++queued_now;
+          if (t != largest_t) ++others_queued;
+          continue;
+        }
+        ++landed_fallbacks;
+      }
+      queued[t] = false;
+      backoff[t] = 0;
+      nodes[chosen].assigned_krps += d;
+      nodes[chosen].assigned_footprint += tenants[t].footprint;
+      nodes[chosen].tenants += 1;
+    }
+    const EpochStats& es = r.epochs[static_cast<std::size_t>(e)];
+    EXPECT_EQ(es.queued_tenants, queued_now) << "epoch " << e;
+    EXPECT_EQ(es.alive_nodes, cc.nodes) << "epoch " << e;
+    EXPECT_NEAR(es.offered_krps, total, 1e-9 * total) << "epoch " << e;
+    if (e == plan.epochs - 1)
+      for (std::size_t n = 0; n < n_nodes; ++n) {
+        EXPECT_EQ(r.nodes[n].tenants, nodes[n].tenants) << "node " << n;
+        EXPECT_NEAR(r.nodes[n].offered_krps, nodes[n].assigned_krps, 1e-9 * total)
+            << "node " << n;
+      }
+  }
+  EXPECT_GT(landed_fallbacks, 0) << "some refused tenants must land elsewhere";
+  EXPECT_GT(others_queued, 0) << "tenants that could land elsewhere must queue too";
+  // Backoff 1, 2, then capped at 2: the never-placeable tenant retries at
+  // epochs 1, 3 and 5 (uncapped it would wait until epoch 7).
+  EXPECT_EQ(largest_retry_epochs, (std::vector<int>{1, 3, 5}));
+  EXPECT_EQ(r.failover_retries, retries);
+  EXPECT_EQ(r.unplaced_tenants, static_cast<int>(std::count(queued.begin(), queued.end(), true)));
+  EXPECT_GE(r.unplaced_tenants, 1);
+  EXPECT_EQ(r.evacuations, 0);
+  EXPECT_NEAR(r.offered_krps, total, 1e-9 * total);
 }
 
 TEST(ClusterFaultSim, CertainCrashTakesTheFleetDownAndBringsItBack) {
