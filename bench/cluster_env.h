@@ -14,19 +14,19 @@
 namespace mtat::bench {
 
 /// Parse MTAT_CLUSTER_FAULTS into a fleet-level fault plan. Empty env means
-/// a healthy fleet (nullopt); a malformed spec warns on stderr and also
-/// returns nullopt — the bench then runs healthy rather than under a plan
-/// the user didn't ask for.
-inline std::optional<faults::ClusterFaultPlan> cluster_faults_from_env() {
+/// a healthy fleet (the inert plan); a malformed spec warns on stderr and
+/// also yields the inert plan — the bench then runs healthy rather than
+/// under a plan the user didn't ask for.
+inline faults::ClusterFaultPlan cluster_faults_from_env() {
   const std::string& spec = Env::get().cluster_faults;
-  if (spec.empty()) return std::nullopt;
-  auto plan = faults::ClusterFaultPlan::from_spec(spec);
+  if (spec.empty()) return {};
+  const auto plan = faults::ClusterFaultPlan::from_spec(spec);
   if (!plan.has_value())
     std::fprintf(stderr,
                  "warning: invalid MTAT_CLUSTER_FAULTS=%s (expected "
                  "storm[:intensity][:warm|:cold]); running healthy\n",
                  spec.c_str());
-  return plan;
+  return plan.value_or(faults::ClusterFaultPlan{});
 }
 
 /// Cluster geometry for the scale preset in effect, with `lc` (already

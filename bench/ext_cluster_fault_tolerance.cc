@@ -9,7 +9,7 @@
 // the storm, the post-storm time-to-recover, and the failover event counts.
 //
 // Expected shape: the intensity-0 rows are the healthy reference on the same
-// reduced fleet (an inactive plan is the classic two-round run). Under
+// reduced fleet (an inert plan is the classic two-round run). Under
 // the storm, telemetry-aware placement routes demand away from sick nodes and
 // keeps the highest compliance, bin-packing is blind to health but still
 // spreads load, and random eats the storm raw: telemetry >= bin_packing >=
@@ -44,7 +44,7 @@ int main() {
 
   struct Cell {
     std::string placement;
-    double intensity = 0;   // 0 = healthy (no plan at all)
+    double intensity = 0;   // 0 = healthy (the inert plan)
     bool warm = true;
   };
   std::vector<Cell> cells;
@@ -54,7 +54,7 @@ int main() {
       for (bool warm : {true, false}) cells.push_back({name, intensity, warm});
   }
 
-  // `restart` is numeric: 1 = warm, 0 = cold, -1 = healthy row (no plan).
+  // `restart` is numeric: 1 = warm, 0 = cold, -1 = healthy row (inert plan).
   CsvWriter csv("ext_cluster_fault_tolerance.csv",
                 {"placement", "intensity", "restart", "storm_slo_pct", "final_slo_pct",
                  "recovery_epochs", "crashes", "stragglers", "blackouts", "evacuations",
@@ -87,7 +87,7 @@ int main() {
       plan.node_blackout_prob = 0.4 * cell.intensity;
       cfg.faults = plan;
     } else {
-      cfg.faults.reset();  // healthy reference row, whatever the env says
+      cfg.faults = {};  // healthy reference row, whatever the env says
     }
     const auto policy = cluster::make_placement(cell.placement);
     cluster::ClusterSim sim(cfg);
@@ -95,7 +95,7 @@ int main() {
 
     // Storm compliance: mean over the storm epochs; recovery: epochs after
     // the storm until compliance first reaches 99% of the final value.
-    const int storm_epochs = cell.intensity > 0 ? cfg.faults->storm_epochs : 0;
+    const int storm_epochs = cell.intensity > 0 ? cfg.faults.storm_epochs : 0;
     double storm_slo = r.slo_compliance_pct;
     int recovery = 0;
     if (cell.intensity > 0 && !r.epochs.empty()) {
@@ -135,6 +135,6 @@ int main() {
   std::printf(
       "\nexpected: telemetry >= bin_packing >= random on storm compliance; warm and cold "
       "restarts diverge after the first post-checkpoint crash; intensity 0 is the healthy "
-      "reference (no injector at all)\n");
+      "reference (inert plan)\n");
   return 0;
 }

@@ -12,26 +12,27 @@
 // cluster's tenant request streams (scaled Poisson aggregates, generated
 // once per seed so every placement policy is judged on the identical tenant
 // population) are routed to nodes by a pluggable cluster::PlacementPolicy.
-// run() executes an epoch loop: each epoch re-places the full tenant set
-// (epoch 0 with static information only, later epochs with the
-// `cluster.node_*` telemetry each node exported last epoch), simulates every
-// node for the epoch window, and harvests telemetry. Without a fault plan
-// the loop has exactly two epochs — the classic probe round then measured
-// round, byte-identical to the pre-failure-domain ClusterSim — and the final
-// epoch always runs cfg.measure_window to produce the reported aggregates.
 //
-// With an active ClusterFaultPlan (DESIGN.md §17) the loop becomes the
-// fleet-level failure domain: a seed-deterministic injector may crash,
-// degrade (straggler), or blind (telemetry blackout) nodes per epoch; a
-// cluster health watchdog turns missed exports into suspicion with a
-// 3-down/5-up hysteresis ladder mirroring MtatPolicy's; suspected nodes are
-// excluded from placement so their tenants evacuate through the policy,
-// under admission control with capped exponential backoff (unplaceable
-// tenants queue and retry — never silently dropped); crashed nodes restart
-// after the configured outage, warm from a deterministic
-// ColocationSim::snapshot() checkpoint or cold into a cold-page flood; and
-// telemetry-aware placement degrades bin-packing → random as blackout
-// coverage rises.
+// run() is one epoch loop for every fleet (DESIGN.md §17). Each epoch a
+// seed-deterministic injector may crash, degrade (straggler) or blind
+// (telemetry blackout) nodes; placement re-routes the full tenant set from
+// the `cluster.node_*` telemetry the health watchdog last received (none in
+// epoch 0), fencing watchdog-suspected nodes so their tenants evacuate, under
+// admission control with capped exponential backoff (unplaceable tenants
+// queue and retry, never silently dropped); every up node simulates the
+// epoch window; and the watchdog turns missed exports into suspicion with a
+// 3-down/5-up hysteresis ladder mirroring MtatPolicy's. Telemetry-aware
+// placement degrades bin-packing → random as blackout coverage rises.
+// Crashed nodes restart after the outage, warm from a deterministic
+// ColocationSim::snapshot() checkpoint or cold into a cold-page flood. The
+// final epoch always runs cfg.measure_window to produce the reported
+// aggregates.
+//
+// A healthy fleet is simply an inert ClusterFaultPlan (!plan.any()): nothing
+// fires, nothing is fenced, the ladder never moves. Plan activity changes
+// exactly three things: an inert plan runs two epochs (the classic probe
+// round, then the measured round), admits without a cap, and boots every
+// node fresh with settle each epoch instead of carrying checkpoints.
 //
 // Every policy pays for every epoch whether or not it reads the telemetry,
 // so the comparison in bench/ext_cluster_slo.cc is simulate-time fair.
@@ -46,7 +47,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,12 +87,11 @@ struct ClusterConfig {
   /// NodeResult::metrics_csv (determinism tests); off by default — a
   /// hundreds-of-nodes fleet would otherwise carry hundreds of dumps.
   bool keep_node_metrics = false;
-  /// Fleet-level failure domain (DESIGN.md §17). Unset or inert
-  /// (!plan.any()): the classic two-epoch run, byte-identical to the
-  /// pre-failure-domain ClusterSim. Active: run() loops plan.epochs epochs
-  /// with node crash/straggler/blackout injection, the health watchdog,
-  /// tenant evacuation, and checkpoint-based restarts.
-  std::optional<faults::ClusterFaultPlan> faults;
+  /// Fleet-level failure domain (DESIGN.md §17). The default plan is inert
+  /// (!faults.any()): two epochs, no admission cap, fresh boots. An active
+  /// plan runs plan.epochs epochs of node crash/straggler/blackout injection
+  /// with checkpoint-based restarts and the plan's admission cap.
+  faults::ClusterFaultPlan faults;
   std::uint64_t seed = 42;
 };
 
@@ -108,14 +107,14 @@ struct NodeResult {
   double slo_violation_pct = 0;
   double fmem_util_pct = 0;
   std::string metrics_csv;  ///< only when cfg.keep_node_metrics
-  /// False when the node was down for the whole epoch (active fault plans
-  /// only): its sim/telemetry fields are then meaningless (NaN gauges), and
-  /// its routed demand counts as violated in the fleet aggregates.
+  /// False when the node was down (crashed) for the whole epoch: its
+  /// sim/telemetry fields are then meaningless (NaN gauges), and its routed
+  /// demand counts as violated in the fleet aggregates.
   bool ran = true;
 };
 
-/// Per-epoch fleet aggregates — two entries for a healthy run (probe then
-/// measured), plan.epochs entries under an active fault plan. The
+/// Per-epoch fleet aggregates — two entries under an inert plan (probe then
+/// measured), plan.epochs entries under an active one. The
 /// fault-tolerance bench derives storm compliance and time-to-recover from
 /// this series.
 struct EpochStats {
@@ -176,9 +175,9 @@ class ClusterSim {
   ClusterSim(const ClusterSim&) = delete;
   ClusterSim& operator=(const ClusterSim&) = delete;
 
-  /// Execute the epoch loop under `policy` (two epochs healthy, plan.epochs
-  /// under an active fault plan). `runner` fans the node shards across its
-  /// workers; null runs them serially (the bit-identical reference path).
+  /// Execute the epoch loop under `policy` (two epochs under an inert plan,
+  /// plan.epochs under an active one). `runner` fans the node shards across
+  /// its workers; null runs them serially (the bit-identical reference path).
   /// run() drives `runner->run_all` itself, so it must be called from the
   /// top level, never from inside a RunSpec — run_all is non-reentrant and
   /// throws std::logic_error if nested.
@@ -190,23 +189,6 @@ class ClusterSim {
   obs::RunContext& run_context() { return *ctx_; }
 
  private:
-  struct NodeFailover;    // per-node outage/watchdog/checkpoint state (.cc)
-  struct TenantFailover;  // per-tenant backoff/queue state (.cc)
-
-  std::vector<NodeState> fresh_states() const;
-  /// Simulate one epoch: every up node runs (settle | checkpoint replay) +
-  /// `window` at its routed load and exports its `cluster.node_*` gauges;
-  /// outcomes land in node-id-ordered NodeResults. `failover` null = healthy
-  /// path (every node boots fresh and settles — the classic round); non-null
-  /// = the failure domain (down nodes skip, warm restarts replay their
-  /// checkpoint, cold restarts skip settle, stragglers run under an in-node
-  /// storm, and each up node's fresh checkpoint is captured).
-  std::vector<NodeResult> run_epoch(const std::vector<std::size_t>& assignment,
-                                    Duration window,
-                                    experiments::ParallelRunner* runner,
-                                    std::vector<NodeFailover>* failover,
-                                    const faults::ClusterFaultPlan* plan);
-
   ClusterConfig cfg_;
   std::unique_ptr<obs::RunContext> owned_ctx_;
   obs::RunContext* ctx_;

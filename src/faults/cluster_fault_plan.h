@@ -17,8 +17,8 @@
 // cluster thread — never inside node shards — so the same (cluster seed,
 // plan) pair produces bit-identical storms at any MTAT_JOBS. Categories
 // never perturb each other: raising the blackout rate cannot shift which
-// nodes crash. Zero-probability queries draw nothing, so an all-zero plan
-// is behaviourally identical to no plan at all.
+// nodes crash. Zero-probability queries draw nothing, so the inert default
+// plan — the healthy fleet — runs the injector without consuming randomness.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +69,8 @@ struct ClusterFaultPlan {
   /// the same 3-down/5-up hysteresis shape as MtatPolicy's ladder (§12).
   int suspect_after = 3;
   int readmit_after = 5;
-  /// Admission control: a placement that would push a node's projected
+  /// Admission control (active plans only; an inert plan admits every
+  /// placement): a placement that would push a node's projected
   /// utilization above this cap is refused; the tenant falls back to the
   /// least-loaded candidate, or queues with capped exponential backoff
   /// (1, 2, 4, ... epochs up to max_backoff_epochs) if every candidate is

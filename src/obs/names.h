@@ -87,7 +87,6 @@ inline constexpr const char* kClusterNodeSloViolationPct = "cluster.node_slo_vio
 inline constexpr const char* kClusterNodeFmemUtilPct = "cluster.node_fmem_util_pct";
 inline constexpr const char* kClusterNodeOfferedRps = "cluster.node_offered_rps";
 inline constexpr const char* kClusterNodeTenants = "cluster.node_tenants";
-inline constexpr const char* kClusterEpochs = "cluster.epochs";
 inline constexpr const char* kFaultNodeCrashes = "fault.node_crashes";
 inline constexpr const char* kFaultNodeStragglers = "fault.node_stragglers";
 inline constexpr const char* kFaultNodeBlackouts = "fault.node_blackouts";
@@ -154,7 +153,7 @@ inline constexpr const char* kAllMetricNames[] = {
     kClusterRounds, kClusterPlacements, kClusterRebalancedTenants, kClusterOfferedRps,
     kClusterSloCompliancePct, kClusterTailP99Ms, kClusterFmemUtilPct, kClusterNodeP99Ms,
     kClusterNodeSloViolationPct, kClusterNodeFmemUtilPct, kClusterNodeOfferedRps,
-    kClusterNodeTenants, kClusterEpochs, kFaultNodeCrashes, kFaultNodeStragglers,
+    kClusterNodeTenants, kFaultNodeCrashes, kFaultNodeStragglers,
     kFaultNodeBlackouts, kClusterFailoverSuspectedNodes, kClusterFailoverEvacuations,
     kClusterFailoverQueuedTenants, kClusterFailoverRetries, kClusterFailoverWarmRestarts,
     kClusterFailoverColdRestarts, kClusterFailoverPlacementMode, kPerfSimStepsPerSec,

@@ -1,8 +1,8 @@
 // Fleet-level failure domain tests (DESIGN.md §17): ClusterFaultPlan presets
 // and spec parsing, the ClusterFaultInjector determinism contract (per-
 // category streams, storm gating, draw-free degenerate probabilities), and
-// ClusterSim's failure-domain behaviour — an inert plan is byte-identical to
-// no plan, a faulted run is bit-identical across job counts and reruns,
+// ClusterSim's failure-domain behaviour — an inert plan is the classic
+// two-epoch run, a faulted run is bit-identical across job counts and reruns,
 // demand is conserved every epoch (queued and dead-node demand is charged,
 // never dropped), admission control falls back to the least-loaded node and
 // then queues with capped backoff, total blackouts trip the watchdog and the
@@ -171,8 +171,8 @@ std::string fingerprint(const ClusterResult& r) {
 }
 
 TEST(ClusterFaultSim, InertPlanIsByteIdenticalToNoPlan) {
-  // An all-zero plan must not even arm the failure domain: no injector, no
-  // extra RNG draws, no watchdog — the classic two-epoch run, byte for byte.
+  // An all-zero plan injects nothing, draws nothing, fences nothing and
+  // never degrades: the classic two-epoch run, byte for byte.
   const auto policy = make_telemetry_placement();
   ClusterConfig healthy = tiny_cluster();
   ClusterSim a(healthy);
@@ -215,7 +215,7 @@ TEST(ClusterFaultSim, EveryEpochConservesTenantDemand) {
   double total = 0;
   for (const TenantStream& t : sim.tenants()) total += t.demand_krps;
   const ClusterResult r = sim.run(*make_telemetry_placement());
-  ASSERT_EQ(r.epochs.size(), static_cast<std::size_t>(cc.faults->epochs));
+  ASSERT_EQ(r.epochs.size(), static_cast<std::size_t>(cc.faults.epochs));
   for (const EpochStats& e : r.epochs)
     EXPECT_NEAR(e.offered_krps, total, 1e-9 * total) << "epoch " << e.epoch;
 }
@@ -248,8 +248,8 @@ TEST(ClusterFaultSim, TotalBlackoutSuspectsTheFleetWithoutWedgingPlacement) {
   std::vector<int> modes;
   for (const EpochStats& e : r.epochs) modes.push_back(e.placement_mode);
   EXPECT_EQ(modes, (std::vector<int>{0, 2, 2, 2, 2, 0}));
-  // The epochs counter reflects the full faulted loop.
-  EXPECT_EQ(ctx.metrics().find_counter(obs::names::kClusterEpochs)->value(),
+  // The rounds counter reflects the full faulted loop.
+  EXPECT_EQ(ctx.metrics().find_counter(obs::names::kClusterRounds)->value(),
             static_cast<double>(plan.epochs));
   EXPECT_EQ(ctx.metrics().find_counter(obs::names::kFaultNodeBlackouts)->value(),
             static_cast<double>(r.node_blackouts));
