@@ -49,7 +49,7 @@ class MigrationEngine {
     /// Optional per-link override, index k = link between tiers k and k+1
     /// (topology-driven runs fill this from the TierSpec vector). Links past
     /// the end of this vector fall back to bandwidth_bytes_per_sec.
-    std::vector<double> link_bandwidth_bytes_per_sec;
+    std::vector<double> link_bandwidth_bytes_per_sec{};
   };
 
   MigrationEngine(TieredMemory& mem, const Config& cfg) : mem_(&mem), cfg_(cfg) {
