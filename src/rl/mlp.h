@@ -6,6 +6,11 @@
 // layers, linear output. Gradients accumulate into per-parameter buffers so a
 // caller can sum several loss terms before one optimizer step; correctness is
 // pinned by numerical-gradient tests in tests/rl_test.cc.
+//
+// Every pass works on a batch: row-major `rows × width` activations held in
+// a reusable Cache. The kernels are register-blocked across outputs and rows
+// but keep each value's operation order fixed, so a row's result does not
+// depend on the batch it ran in (DESIGN.md §14.4).
 #pragma once
 
 #include <cstdint>
@@ -20,23 +25,40 @@ class Mlp {
   /// `sizes` = {in, hidden..., out}. Weights use He initialization.
   Mlp(std::vector<int> sizes, Rng& rng);
 
-  /// Per-layer pre-activations and activations retained for backward().
+  /// One batch's activations, retained for backward(): act[0] is the input
+  /// block, act[L] the output block, each `rows × width` row-major. Buffers
+  /// keep their capacity, so a steady batch size allocates nothing.
   struct Cache {
-    std::vector<std::vector<double>> activations;  // a[0]=input .. a[L]=output
+    int rows = 0;
+    std::vector<std::vector<double>> act;
+    std::vector<double> delta, dprev, scaled;  // backward scratch
+    std::vector<int> all_rows;  // 0..rows-1, for whole-batch passes
   };
 
-  /// Plain inference.
+  /// Sizes `cache` for `rows` samples and returns the `rows × input_dim()`
+  /// input block for the caller to fill.
+  double* input(Cache& cache, int rows) const;
+
+  /// Runs the input block through the net; returns the `rows × output_dim()`
+  /// output block. Each output sums its bias, then its inputs in ascending
+  /// order.
+  const double* forward(Cache& cache) const;
+
+  /// Plain inference on one sample (a batch of one).
   std::vector<double> forward(const std::vector<double>& x) const;
 
-  /// Forward pass retaining intermediates for a subsequent backward().
-  std::vector<double> forward_cached(const std::vector<double>& x, Cache& cache) const;
+  /// Backpropagates dLoss/dOutput (`rows × output_dim()`) for every row of
+  /// the forward pass in `cache`. Accumulates parameter gradients scaled by
+  /// `scale` (e.g. 1/batch), taking rows in order, and returns dLoss/dInput
+  /// (`rows × input_dim()`, scaled the same way) — SAC's actor update
+  /// differentiates the critic with respect to the action.
+  const double* backward(Cache& cache, const double* dout, double scale = 1.0);
 
-  /// Backpropagate dLoss/dOutput for the forward pass recorded in `cache`.
-  /// Accumulates parameter gradients (scaled by `scale`, e.g. 1/batch) and
-  /// returns dLoss/dInput — needed by SAC's actor update, which differentiates
-  /// the critic with respect to the action.
-  std::vector<double> backward(const Cache& cache, const std::vector<double>& dout,
-                               double scale = 1.0);
+  /// dLoss/dInput alone, as backward() returns it, for the rows listed in
+  /// `rows` (every row when null); other rows of the result are unspecified.
+  /// Writes no parameter gradient.
+  const double* input_gradient(Cache& cache, const double* dout, double scale,
+                               const std::vector<int>* rows = nullptr) const;
 
   /// One Adam step over the accumulated gradients, then zero them.
   void adam_step(double lr, double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
@@ -63,6 +85,10 @@ class Mlp {
     std::size_t b_off;  // then out biases
     int in, out;
   };
+
+  void check_shape(const Cache& cache) const;
+  const double* backprop(Cache& cache, const double* dout, double scale,
+                         const std::vector<int>* rows, double* grads) const;
 
   std::vector<int> sizes_;
   std::vector<Layer> layers_;

@@ -48,46 +48,38 @@ SacAgent::SacAgent(const SacConfig& cfg)
 
 double SacAgent::alpha() const { return std::exp(log_alpha_); }
 
-std::vector<double> SacAgent::concat(const std::vector<double>& a, const std::vector<double>& b) {
-  std::vector<double> out = a;
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
-
-SacAgent::PolicySample SacAgent::sample_policy(const std::vector<double>& state,
-                                               Mlp::Cache* cache) {
-  PolicySample ps;
-  Mlp::Cache local;
-  const std::vector<double> head =
-      cache ? actor_.forward_cached(state, *cache) : actor_.forward_cached(state, local);
+void SacAgent::sample_policy(const double* head, int rows, PolicyBatch& out) {
   const int dim = cfg_.action_dim;
-  ps.mean.assign(head.begin(), head.begin() + dim);
-  ps.log_std.resize(dim);
-  ps.action.resize(dim);
-  ps.raw.resize(dim);
-  ps.eps.resize(dim);
-  for (int d = 0; d < dim; ++d) {
-    ps.log_std[d] = std::clamp(head[dim + d], kLogStdMin, kLogStdMax);
-    const double sigma = std::exp(ps.log_std[d]);
-    ps.eps[d] = rng_.next_gaussian();
-    ps.raw[d] = ps.mean[d] + sigma * ps.eps[d];
-    ps.action[d] = std::tanh(ps.raw[d]);
-    // log N(raw; mean, sigma) with raw = mean + sigma*eps, minus the tanh
-    // change-of-variables correction.
-    ps.log_prob += -0.5 * ps.eps[d] * ps.eps[d] - ps.log_std[d] - kHalfLog2Pi -
-                   std::log(1.0 - ps.action[d] * ps.action[d] + kTanhEps);
+  out.action.resize(rows * dim);
+  out.log_std.resize(rows * dim);
+  out.eps.resize(rows * dim);
+  out.log_prob.assign(rows, 0.0);
+  for (int r = 0; r < rows; ++r) {
+    const double* mean = head + r * 2 * dim;  // then dim log-std entries
+    double* action = &out.action[r * dim];
+    double* log_std = &out.log_std[r * dim];
+    double* eps = &out.eps[r * dim];
+    for (int d = 0; d < dim; ++d) {
+      log_std[d] = std::clamp(mean[dim + d], kLogStdMin, kLogStdMax);
+      const double sigma = std::exp(log_std[d]);
+      eps[d] = rng_.next_gaussian();
+      action[d] = std::tanh(mean[d] + sigma * eps[d]);
+      // log N(raw; mean, sigma) with raw = mean + sigma*eps, minus the tanh
+      // change-of-variables correction.
+      out.log_prob[r] += -0.5 * eps[d] * eps[d] - log_std[d] - kHalfLog2Pi -
+                         std::log(1.0 - action[d] * action[d] + kTanhEps);
+    }
   }
-  return ps;
 }
 
 std::vector<double> SacAgent::act(const std::vector<double>& state, bool deterministic) {
-  std::vector<double> out;
+  const std::vector<double> head = actor_.forward(state);
+  std::vector<double> out(cfg_.action_dim);
   if (deterministic) {
-    const std::vector<double> head = actor_.forward(state);
-    out.resize(cfg_.action_dim);
     for (int d = 0; d < cfg_.action_dim; ++d) out[d] = std::tanh(head[d]);
   } else {
-    out = sample_policy(state, nullptr).action;
+    sample_policy(head.data(), 1, scratch_.pol);
+    out = scratch_.pol.action;
   }
   if (faults_ != nullptr) {
     // Injected policy pathology: the action the caller sees is replaced by
@@ -120,6 +112,10 @@ bool all_finite(const std::vector<double>& v) {
 
 void SacAgent::observe(const std::vector<double>& state, const std::vector<double>& action,
                        double reward, const std::vector<double>& next_state, bool done) {
+  const auto sdim = static_cast<std::size_t>(cfg_.state_dim);
+  if (state.size() != sdim || next_state.size() != sdim ||
+      action.size() != static_cast<std::size_t>(cfg_.action_dim))
+    throw std::invalid_argument("SacAgent: transition size mismatch");
   // Non-finite transitions are rejected outright rather than clamped: one NaN
   // reward or corrupted action in the buffer would poison every later
   // gradient batch that samples it. Healthy runs never produce one, so this
@@ -134,7 +130,8 @@ void SacAgent::observe(const std::vector<double>& state, const std::vector<doubl
 
 double SacAgent::q_value(const std::vector<double>& state,
                          const std::vector<double>& action) const {
-  const std::vector<double> in = concat(state, action);
+  std::vector<double> in = state;
+  in.insert(in.end(), action.begin(), action.end());
   return std::min(q1_.forward(in)[0], q2_.forward(in)[0]);
 }
 
@@ -176,74 +173,124 @@ void SacAgent::set_run_context(obs::RunContext* ctx) {
 
 void SacAgent::update_once() {
   const std::size_t batch = std::min(cfg_.batch_size, buffer_.size());
+  const int n = static_cast<int>(batch);
   const double inv_b = 1.0 / static_cast<double>(batch);
-  std::vector<const Transition*> samples(batch);
-  for (auto& s : samples) s = &buffer_.sample(rng_);
+  const double temp = alpha();
+  const int sdim = cfg_.state_dim;
+  const int dim = cfg_.action_dim;
+  const int qin = sdim + dim;
+  Scratch& s = scratch_;
+  s.samples.resize(batch);
+  for (auto& t : s.samples) t = &buffer_.sample(rng_);
+
+  // Every phase runs the whole minibatch through each layer at once. Rows
+  // keep their order everywhere — in the RNG draws, the loss sums and each
+  // parameter gradient — so the result matches a sample-at-a-time update bit
+  // for bit (DESIGN.md §14.4). Input rows are [state] for the actor and
+  // [state | action] for the critics.
+  const auto put_state = [&](double* x, int row, int width, const std::vector<double>& state) {
+    std::copy_n(state.data(), sdim, x + row * width);
+  };
+  const auto put_action = [&](double* x, int row, const double* action) {
+    std::copy_n(action, dim, x + row * qin + sdim);
+  };
 
   // --- Critic update: y = r + gamma(1-done)(min Q'(s',a') - alpha log pi) ---
-  double critic_loss = 0.0;
-  for (const Transition* t : samples) {
-    double y = t->reward;
-    if (!t->done) {
-      const PolicySample next = sample_policy(t->next_state, nullptr);
-      const std::vector<double> in = concat(t->next_state, next.action);
-      const double qmin = std::min(q1_target_.forward(in)[0], q2_target_.forward(in)[0]);
-      y += cfg_.gamma * (qmin - alpha() * next.log_prob);
-    }
-    const std::vector<double> in = concat(t->state, t->action);
-    Mlp::Cache c1, c2;
-    const double q1v = q1_.forward_cached(in, c1)[0];
-    const double q2v = q2_.forward_cached(in, c2)[0];
-    critic_loss += ((q1v - y) * (q1v - y) + (q2v - y) * (q2v - y)) * inv_b;
-    q1_.backward(c1, {2.0 * (q1v - y)}, inv_b);
-    q2_.backward(c2, {2.0 * (q2v - y)}, inv_b);
+  // a' ~ pi(s') for the non-terminal rows, scored by both target critics.
+  s.live.clear();
+  for (int r = 0; r < n; ++r)
+    if (!s.samples[r]->done) s.live.push_back(r);
+  const int m = static_cast<int>(s.live.size());
+  double* x = actor_.input(s.actor, m);
+  for (int j = 0; j < m; ++j) put_state(x, j, sdim, s.samples[s.live[j]]->next_state);
+  sample_policy(actor_.forward(s.actor), m, s.next);
+  x = q1_target_.input(s.q1_target, m);
+  for (int j = 0; j < m; ++j) {
+    put_state(x, j, qin, s.samples[s.live[j]]->next_state);
+    put_action(x, j, &s.next.action[j * dim]);
   }
+  std::copy_n(x, m * qin, q2_target_.input(s.q2_target, m));
+  const double* qt1 = q1_target_.forward(s.q1_target);
+  const double* qt2 = q2_target_.forward(s.q2_target);
+  s.y.resize(batch);
+  for (int r = 0; r < n; ++r) s.y[r] = s.samples[r]->reward;
+  for (int j = 0; j < m; ++j)
+    s.y[s.live[j]] += cfg_.gamma * (std::min(qt1[j], qt2[j]) - temp * s.next.log_prob[j]);
+
+  x = q1_.input(s.q1, n);
+  for (int r = 0; r < n; ++r) {
+    put_state(x, r, qin, s.samples[r]->state);
+    put_action(x, r, s.samples[r]->action.data());
+  }
+  std::copy_n(x, n * qin, q2_.input(s.q2, n));
+  const double* q1v = q1_.forward(s.q1);
+  const double* q2v = q2_.forward(s.q2);
+  double critic_loss = 0.0;
+  s.dout1.resize(batch);
+  s.dout2.resize(batch);
+  for (int r = 0; r < n; ++r) {
+    const double y = s.y[r];
+    critic_loss += ((q1v[r] - y) * (q1v[r] - y) + (q2v[r] - y) * (q2v[r] - y)) * inv_b;
+    s.dout1[r] = 2.0 * (q1v[r] - y);
+    s.dout2[r] = 2.0 * (q2v[r] - y);
+  }
+  q1_.backward(s.q1, s.dout1.data(), inv_b);
+  q2_.backward(s.q2, s.dout2.data(), inv_b);
   q1_.adam_step(cfg_.critic_lr);
   q2_.adam_step(cfg_.critic_lr);
   last_critic_loss_ = critic_loss;
 
   // --- Actor update: minimize alpha*log pi - min Q(s, a(s)) ----------------
+  x = actor_.input(s.actor, n);
+  for (int r = 0; r < n; ++r) put_state(x, r, sdim, s.samples[r]->state);
+  sample_policy(actor_.forward(s.actor), n, s.pol);
+  x = q1_.input(s.q1, n);
+  for (int r = 0; r < n; ++r) {
+    put_state(x, r, qin, s.samples[r]->state);
+    put_action(x, r, &s.pol.action[r * dim]);
+  }
+  std::copy_n(x, n * qin, q2_.input(s.q2, n));
+  q1v = q1_.forward(s.q1);
+  q2v = q2_.forward(s.q2);
   double actor_loss = 0.0;
   double mean_log_prob = 0.0;
-  const int dim = cfg_.action_dim;
-  for (const Transition* t : samples) {
-    Mlp::Cache actor_cache;
-    const PolicySample ps = sample_policy(t->state, &actor_cache);
-    const std::vector<double> in = concat(t->state, ps.action);
-    Mlp::Cache c1, c2;
-    const double q1v = q1_.forward_cached(in, c1)[0];
-    const double q2v = q2_.forward_cached(in, c2)[0];
-    const double qmin = std::min(q1v, q2v);
-    actor_loss += (alpha() * ps.log_prob - qmin) * inv_b;
-    mean_log_prob += ps.log_prob * inv_b;
-    // dL/da through the smaller critic (dout = -1, mean-scaled).
-    Mlp& qsel = q1v <= q2v ? q1_ : q2_;
-    const std::vector<double> din =
-        qsel.backward(q1v <= q2v ? c1 : c2, {-1.0}, inv_b);
-    // Assemble gradients w.r.t. the actor head [mean..., log_std...].
-    std::vector<double> dhead(2 * dim, 0.0);
+  s.won[0].clear();
+  s.won[1].clear();
+  for (int r = 0; r < n; ++r) {
+    actor_loss += (temp * s.pol.log_prob[r] - std::min(q1v[r], q2v[r])) * inv_b;
+    mean_log_prob += s.pol.log_prob[r] * inv_b;
+    s.won[q1v[r] <= q2v[r] ? 0 : 1].push_back(r);
+  }
+  // dL/da through the smaller critic (dout = -1, mean-scaled), each critic
+  // differentiated only on the rows it won. No critic parameter gradient is
+  // formed: the critics already took their step this round.
+  s.dout1.assign(batch, -1.0);
+  const double* din1 = q1_.input_gradient(s.q1, s.dout1.data(), inv_b, &s.won[0]);
+  const double* din2 = q2_.input_gradient(s.q2, s.dout1.data(), inv_b, &s.won[1]);
+  // Assemble gradients w.r.t. the actor head [mean..., log_std...].
+  s.dhead.assign(batch * 2 * dim, 0.0);
+  for (int r = 0; r < n; ++r) {
+    const double* din = (q1v[r] <= q2v[r] ? din1 : din2) + r * qin;
+    const double* action = &s.pol.action[r * dim];
+    const double* log_std = &s.pol.log_std[r * dim];
+    const double* eps = &s.pol.eps[r * dim];
+    double* dhead = &s.dhead[r * 2 * dim];
     for (int d = 0; d < dim; ++d) {
-      const double a = ps.action[d];
+      const double a = action[d];
       const double one_m_a2 = 1.0 - a * a;
-      const double dq_da = din[cfg_.state_dim + d];  // action slice of input grad
+      const double dq_da = din[sdim + d];  // action slice of input grad
       // d(log pi)/d(raw): only the tanh correction depends on raw given eps.
       const double dlogp_draw = 2.0 * a * one_m_a2 / (one_m_a2 + kTanhEps);
-      const double g_raw = dq_da * one_m_a2 + (alpha() * inv_b) * dlogp_draw;
+      const double g_raw = dq_da * one_m_a2 + (temp * inv_b) * dlogp_draw;
       dhead[d] = g_raw;  // d raw / d mean = 1
       // d raw / d log_std = sigma * eps; d(log pi)/d log_std also has the -1
       // from the Gaussian entropy term. Zero where the clamp was active.
-      const bool clamped = ps.log_std[d] <= kLogStdMin || ps.log_std[d] >= kLogStdMax;
-      if (!clamped)
-        dhead[dim + d] =
-            g_raw * std::exp(ps.log_std[d]) * ps.eps[d] - (alpha() * inv_b);
+      const bool clamped = log_std[d] <= kLogStdMin || log_std[d] >= kLogStdMax;
+      if (!clamped) dhead[dim + d] = g_raw * std::exp(log_std[d]) * eps[d] - (temp * inv_b);
     }
-    actor_.backward(actor_cache, dhead, 1.0);
   }
+  actor_.backward(s.actor, s.dhead.data(), 1.0);
   actor_.adam_step(cfg_.actor_lr);
-  // The actor pass accumulated gradients inside the critics as a side effect;
-  // discard them — the critics already took their step this round.
-  q1_.zero_grad();
-  q2_.zero_grad();
   last_actor_loss_ = actor_loss;
 
   // --- Temperature update: d/dlogalpha of -logalpha*(logpi + target_H) -----

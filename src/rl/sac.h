@@ -7,6 +7,7 @@
 // paper's admissible range alpha in [-M/2t, +M/2t] (Eq. 1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,7 +47,8 @@ class SacAgent {
   /// Record a transition into the replay buffer. Transitions containing any
   /// non-finite value are rejected (counted as rl.rejected_transitions) —
   /// never clamped into the buffer — so corrupted observations cannot reach
-  /// a gradient update.
+  /// a gradient update. Vectors of the wrong dimension throw
+  /// std::invalid_argument.
   void observe(const std::vector<double>& state, const std::vector<double>& action,
                double reward, const std::vector<double>& next_state, bool done);
 
@@ -70,17 +72,35 @@ class SacAgent {
   /// Q-value estimate min(Q1, Q2)(s, a) — for tests and diagnostics.
   double q_value(const std::vector<double>& state, const std::vector<double>& action) const;
 
+  /// The networks in construction order (actor, Q1, Q2, Q1 target, Q2
+  /// target), read-only — exposed for tests.
+  std::array<const Mlp*, 5> networks() const {
+    return {&actor_, &q1_, &q2_, &q1_target_, &q2_target_};
+  }
+
  private:
-  struct PolicySample {
-    std::vector<double> action;    // tanh-squashed, in [-1,1]
-    std::vector<double> raw;       // pre-squash Gaussian draw
-    std::vector<double> mean, log_std, eps;
-    double log_prob = 0.0;
+  /// Squashed-Gaussian draws for a batch of actor heads: the action in
+  /// [-1,1], the clamped log-std and the noise, plus each row's
+  /// log-probability.
+  struct PolicyBatch {
+    std::vector<double> action, log_std, eps;  // rows × action_dim
+    std::vector<double> log_prob;              // one per row
   };
 
-  PolicySample sample_policy(const std::vector<double>& state, Mlp::Cache* cache);
+  /// Training buffers, reused across updates so a step allocates nothing.
+  struct Scratch {
+    std::vector<const Transition*> samples;
+    std::vector<int> live;    // rows whose transition is not terminal
+    std::vector<int> won[2];  // rows where Q1 (resp. Q2) is the smaller
+    std::vector<double> y, dout1, dout2, dhead;
+    PolicyBatch next, pol;
+    Mlp::Cache actor, q1, q2, q1_target, q2_target;
+  };
+
+  /// Draws one action per row of `head` (`rows × 2·action_dim`, [mean...,
+  /// log_std...]), taking action_dim Gaussians per row in row order.
+  void sample_policy(const double* head, int rows, PolicyBatch& out);
   void update_once();
-  static std::vector<double> concat(const std::vector<double>& a, const std::vector<double>& b);
 
   SacConfig cfg_;
   Rng rng_;
@@ -102,6 +122,7 @@ class SacAgent {
   obs::Gauge* alpha_g_ = nullptr;
   obs::Counter* rejected_c_ = nullptr;
   obs::Counter* actions_corrupted_c_ = nullptr;  // set iff faults_ != nullptr
+  Scratch scratch_;
 };
 
 }  // namespace mtat

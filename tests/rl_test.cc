@@ -3,7 +3,10 @@
 // closed-form bandit environments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "rl/mlp.h"
@@ -21,6 +24,21 @@ TEST(Mlp, RejectsBadShapes) {
   EXPECT_THROW(Mlp({3, 0, 1}, rng), std::invalid_argument);
   Mlp net({3, 4, 2}, rng);
   EXPECT_THROW(net.forward({1.0, 2.0}), std::invalid_argument);
+}
+
+TEST(Mlp, RejectsMisshapenBatches) {
+  Rng rng(4);
+  Mlp net({3, 4, 2}, rng);
+  Mlp other({3, 5, 2}, rng);
+  Mlp::Cache cache;
+  EXPECT_THROW(net.forward(cache), std::invalid_argument);  // never sized
+  other.input(cache, 2);
+  EXPECT_THROW(net.forward(cache), std::invalid_argument);  // sized for another net
+  net.input(cache, 2);
+  net.forward(cache);
+  const std::vector<double> dout(4, 1.0);
+  const std::vector<int> rows = {0, 2};
+  EXPECT_THROW(net.input_gradient(cache, dout.data(), 1.0, &rows), std::invalid_argument);
 }
 
 TEST(Mlp, ForwardMatchesHandComputation) {
@@ -44,24 +62,35 @@ TEST(Mlp, ParameterCount) {
   EXPECT_EQ(net.output_dim(), 2);
 }
 
+// Runs `rows` (each input_dim() long) through `net` as one batch.
+const double* forward_rows(const Mlp& net, Mlp::Cache& cache,
+                           const std::vector<std::vector<double>>& rows) {
+  double* x = net.input(cache, static_cast<int>(rows.size()));
+  for (const auto& row : rows) x = std::copy(row.begin(), row.end(), x);
+  return net.forward(cache);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(Mlp, NumericalGradientCheck) {
   // dLoss/dparam from backward() must match central finite differences for
-  // a scalar loss L = sum(output^2).
+  // a scalar loss L = sum over a batch of three rows of sum(output^2).
   Rng rng(5);
   Mlp net({3, 8, 8, 2}, rng);
-  const std::vector<double> x = {0.3, -0.7, 1.1};
+  const std::vector<std::vector<double>> xs = {
+      {0.3, -0.7, 1.1}, {-0.2, 0.5, 0.9}, {1.0, 0.1, -0.4}};
   Mlp::Cache cache;
-  const auto y = net.forward_cached(x, cache);
-  std::vector<double> dout(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) dout[i] = 2.0 * y[i];
-  net.backward(cache, dout);
+  const double* y = forward_rows(net, cache, xs);
+  std::vector<double> dout(xs.size() * 2);
+  for (std::size_t i = 0; i < dout.size(); ++i) dout[i] = 2.0 * y[i];
+  net.backward(cache, dout.data());
   const std::vector<double> analytic = net.gradients();
   net.zero_grad();
 
   auto loss = [&]() {
-    const auto out = net.forward(x);
     double l = 0;
-    for (double v : out) l += v * v;
+    for (const auto& x : xs)
+      for (double v : net.forward(x)) l += v * v;
     return l;
   };
   const double eps = 1e-6;
@@ -85,8 +114,9 @@ TEST(Mlp, InputGradientCheck) {
   Mlp net({4, 8, 1}, rng);
   std::vector<double> x = {0.1, 0.2, -0.3, 0.4};
   Mlp::Cache cache;
-  net.forward_cached(x, cache);
-  const auto din = net.backward(cache, {1.0});
+  forward_rows(net, cache, {x});
+  const double dout = 1.0;
+  const double* din = net.backward(cache, &dout);
   net.zero_grad();
   const double eps = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -104,23 +134,103 @@ TEST(Mlp, BackwardScaleAppliesEverywhere) {
   Rng rng2(8);
   Mlp b({2, 4, 1}, rng2);
   Mlp::Cache ca, cb;
-  a.forward_cached({1.0, -1.0}, ca);
-  b.forward_cached({1.0, -1.0}, cb);
-  const auto da = a.backward(ca, {1.0}, 0.5);
-  const auto db = b.backward(cb, {1.0}, 1.0);
+  const std::vector<std::vector<double>> xs = {{1.0, -1.0}, {0.5, 2.0}};
+  forward_rows(a, ca, xs);
+  forward_rows(b, cb, xs);
+  const double dout[] = {1.0, -0.5};
+  const double* da = a.backward(ca, dout, 0.5);
+  const double* db = b.backward(cb, dout, 1.0);
   for (std::size_t i = 0; i < a.parameter_count(); ++i)
     EXPECT_NEAR(a.gradients()[i], 0.5 * b.gradients()[i], 1e-12);
-  for (std::size_t i = 0; i < da.size(); ++i) EXPECT_NEAR(da[i], 0.5 * db[i], 1e-12);
+  for (std::size_t i = 0; i < xs.size() * 2; ++i) EXPECT_NEAR(da[i], 0.5 * db[i], 1e-12);
+}
+
+TEST(Mlp, BatchedForwardMatchesRowsRunAlone) {
+  // Odd batch sizes and widths leave a remainder in every register block; a
+  // row's output must not depend on the batch it ran in.
+  Rng rng(31);
+  for (const std::vector<int>& sizes : std::vector<std::vector<int>>{
+           {3, 64, 64, 1}, {4, 64, 64, 2}, {5, 7, 5, 4}, {2, 9, 3}}) {
+    Mlp net(sizes, rng);
+    for (int n : {1, 2, 3, 5, 7, 13}) {
+      std::vector<std::vector<double>> xs(n, std::vector<double>(sizes.front()));
+      for (auto& x : xs)
+        for (double& v : x) v = 4.0 * rng.next_double() - 2.0;
+      Mlp::Cache cache;
+      const double* y = forward_rows(net, cache, xs);
+      for (int r = 0; r < n; ++r) {
+        const std::vector<double> alone = net.forward(xs[r]);
+        for (int o = 0; o < net.output_dim(); ++o)
+          EXPECT_EQ(bits(y[r * net.output_dim() + o]), bits(alone[o]))
+              << "n=" << n << " row " << r << " out " << o;
+      }
+    }
+  }
+}
+
+TEST(Mlp, BackwardOverRowsMatchesRowsRunInOrder) {
+  // Parameter gradients take their rows in order: one batched backward over
+  // rows {0..n} equals n one-row backwards in that order, bit for bit, and
+  // each row's input gradient equals the one it gets alone.
+  Rng rng(32);
+  Mlp batched({5, 7, 9, 3}, rng);
+  Mlp single({5, 7, 9, 3}, rng);
+  single.copy_parameters_from(batched);
+  const int n = 7;
+  std::vector<std::vector<double>> xs(n, std::vector<double>(5));
+  for (auto& x : xs)
+    for (double& v : x) v = 4.0 * rng.next_double() - 2.0;
+  std::vector<double> dout(n * 3);
+  for (double& d : dout) d = 2.0 * rng.next_double() - 1.0;
+  const double scale = 1.0 / 7.0;
+  Mlp::Cache cache;
+  forward_rows(batched, cache, xs);
+  const double* din = batched.backward(cache, dout.data(), scale);
+  for (int r = 0; r < n; ++r) {
+    Mlp::Cache one;
+    forward_rows(single, one, {xs[r]});
+    const double* din_one = single.backward(one, &dout[r * 3], scale);
+    for (int i = 0; i < 5; ++i) EXPECT_EQ(bits(din[r * 5 + i]), bits(din_one[i])) << r;
+  }
+  for (std::size_t i = 0; i < batched.parameter_count(); ++i)
+    EXPECT_EQ(bits(batched.gradients()[i]), bits(single.gradients()[i])) << "param " << i;
+}
+
+TEST(Mlp, InputGradientOverRowSubsetLeavesParametersAlone) {
+  // Input-gradient-only mode on a row subset gives those rows exactly what a
+  // full backward gives them, and writes no parameter gradient.
+  Rng rng(33);
+  Mlp net({4, 6, 5, 1}, rng);
+  Mlp ref({4, 6, 5, 1}, rng);
+  ref.copy_parameters_from(net);
+  const int n = 9;
+  std::vector<std::vector<double>> xs(n, std::vector<double>(4));
+  for (auto& x : xs)
+    for (double& v : x) v = 4.0 * rng.next_double() - 2.0;
+  const std::vector<double> dout(n, -1.0);
+  Mlp::Cache cache, ref_cache;
+  forward_rows(net, cache, xs);
+  forward_rows(ref, ref_cache, xs);
+  const double* want = ref.backward(ref_cache, dout.data(), 0.25);
+  const std::vector<int> subset = {0, 3, 4, 8};
+  const double* got = net.input_gradient(cache, dout.data(), 0.25, &subset);
+  for (int r : subset)
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(bits(got[r * 4 + i]), bits(want[r * 4 + i])) << r;
+  for (double g : net.gradients()) EXPECT_EQ(bits(g), bits(0.0));
+  const double* all = net.input_gradient(cache, dout.data(), 0.25);
+  for (int i = 0; i < n * 4; ++i) EXPECT_EQ(bits(all[i]), bits(want[i])) << i;
+  for (double g : net.gradients()) EXPECT_EQ(bits(g), bits(0.0));
 }
 
 TEST(Mlp, AdamMinimizesQuadratic) {
   // Fit y = net(x) to y* = 3 on a fixed input: loss should collapse.
   Rng rng(9);
   Mlp net({1, 8, 1}, rng);
+  Mlp::Cache c;
   for (int step = 0; step < 2000; ++step) {
-    Mlp::Cache c;
-    const double y = net.forward_cached({1.0}, c)[0];
-    net.backward(c, {2.0 * (y - 3.0)});
+    const double y = forward_rows(net, c, {{1.0}})[0];
+    const double dout = 2.0 * (y - 3.0);
+    net.backward(c, &dout);
     net.adam_step(1e-2);
   }
   EXPECT_NEAR(net.forward({1.0})[0], 3.0, 1e-3);
@@ -194,6 +304,17 @@ TEST(Sac, ObserveRejectsNonFiniteTransitions) {
   EXPECT_EQ(agent.buffer_size(), 0u);
   agent.observe(s, a, 1.0, s, false);  // a healthy transition still lands
   EXPECT_EQ(agent.buffer_size(), 1u);
+}
+
+TEST(Sac, ObserveRejectsWrongDimensions) {
+  // Training copies exactly state_dim/action_dim values per row, so a
+  // transition of another shape must be refused when it is stored.
+  SacAgent agent(small_sac(3));
+  const std::vector<double> s{0.5, -0.5};
+  EXPECT_THROW(agent.observe({0.5}, {0.1}, 0.0, s, false), std::invalid_argument);
+  EXPECT_THROW(agent.observe(s, {0.1, 0.2}, 0.0, s, false), std::invalid_argument);
+  EXPECT_THROW(agent.observe(s, {0.1}, 0.0, {0.5, -0.5, 1.0}, false), std::invalid_argument);
+  EXPECT_EQ(agent.buffer_size(), 0u);
 }
 
 TEST(Sac, UpdateRequiresMinimumBuffer) {
