@@ -73,6 +73,7 @@ ClusterSim::ClusterSim(const ClusterConfig& cfg, obs::RunContext* ctx) : cfg_(cf
   if (cfg_.nodes <= 0) throw std::invalid_argument("ClusterSim: nodes must be positive");
   if (cfg_.tenants < 0) throw std::invalid_argument("ClusterSim: negative tenant count");
   if (cfg_.tenants == 0) cfg_.tenants = 4 * cfg_.nodes;
+  node_fmem_ = cfg_.node.memory_config().tiers.front().capacity_pages * kPageSize;
   if (ctx == nullptr) {
     owned_ctx_ = std::make_unique<obs::RunContext>();
     ctx_ = owned_ctx_.get();
@@ -102,7 +103,7 @@ ClusterSim::ClusterSim(const ClusterConfig& cfg, obs::RunContext* ctx) : cfg_(cf
         cfg_.target_utilization * fleet_capacity_krps * weights[i] / weight_sum;
     const double spread = 0.25 + 1.5 * seeder.next_double();  // x0.25 .. x1.75
     t.footprint = static_cast<Bytes>(cfg_.footprint_mean_fraction * spread *
-                                     static_cast<double>(cfg_.node.fmem));
+                                     static_cast<double>(node_fmem_));
     tenants_.push_back(std::move(t));
   }
   node_seeds_.reserve(static_cast<std::size_t>(cfg_.nodes));
@@ -203,7 +204,7 @@ ClusterResult ClusterSim::run(const PlacementPolicy& policy,
     for (std::size_t n = 0; n < n_nodes; ++n) {
       NodeState& s = all[n];
       s.node_id = static_cast<int>(n);
-      s.fmem_capacity = cfg_.node.fmem;
+      s.fmem_capacity = node_fmem_;
       s.capacity_krps = cfg_.node_capacity_krps;
       s.p99_ms = fo[n].p99_ms;
       s.slo_violation_pct = fo[n].slo_violation_pct;

@@ -74,7 +74,8 @@ struct ClusterConfig {
   /// weights normalized to this total, so a fleet always carries the same
   /// load whatever the tenant count.
   double target_utilization = 0.6;
-  /// Mean tenant FMem working-set estimate as a fraction of node FMem. The
+  /// Mean tenant FMem working-set estimate as a fraction of node FMem (tier
+  /// 0 of node.memory_config(), which node.tiers overrides). The
   /// default makes the tenant population's total footprint roughly equal the
   /// fleet's total FMem at the default four tenants per node, so capacity
   /// packing has to spread across the whole fleet rather than degenerately
@@ -192,6 +193,7 @@ class ClusterSim {
   ClusterConfig cfg_;
   std::unique_ptr<obs::RunContext> owned_ctx_;
   obs::RunContext* ctx_;
+  Bytes node_fmem_ = 0;  ///< the node template's tier-0 capacity
   std::vector<TenantStream> tenants_;
   std::vector<std::uint64_t> node_seeds_;
   std::uint64_t placement_seed_ = 0;

@@ -55,6 +55,8 @@ inline constexpr const char* kSimIntervals = "sim.intervals";
 inline constexpr const char* kSimMeasuredIntervals = "sim.measured_intervals";
 inline constexpr const char* kBwFmemFactor = "bw.fmem_factor";
 inline constexpr const char* kBwSmemFactor = "bw.smem_factor";
+inline constexpr const char* kBwTier2Factor = "bw.tier2_factor";
+inline constexpr const char* kBwTier3Factor = "bw.tier3_factor";
 inline constexpr const char* kLcFmemRatio = "lc.fmem_ratio";
 inline constexpr const char* kLcFmemShare = "lc.fmem_share";
 inline constexpr const char* kMtatLcQuotaPages = "mtat.lc_quota_pages";
@@ -145,7 +147,8 @@ inline constexpr const char* kAllMetricNames[] = {
     kPpmDecisions, kPpmViolations, kPpmGuardTrips, kPpmReward, kPpePlans, kPpePlanPages,
     kRlUpdates, kRlCriticLoss, kRlActorLoss, kRlAlpha, kQueueArrivals, kQueueCompleted,
     kQueueBacklogPeak, kSimIntervals, kSimMeasuredIntervals, kBwFmemFactor, kBwSmemFactor,
-    kLcFmemRatio, kLcFmemShare, kMtatLcQuotaPages, kDerivedMigrationBytesPerSec,
+    kBwTier2Factor, kBwTier3Factor, kLcFmemRatio, kLcFmemShare, kMtatLcQuotaPages,
+    kDerivedMigrationBytesPerSec,
     kDerivedPolicyWallUsPerInterval, kFaultSamplesDropped, kFaultSamplesCorrupted,
     kFaultMigrationFailures, kFaultMigrationRollbacks, kFaultRlActionsCorrupted,
     kMigrationRetries, kMigrationBackoffTicks, kPpmNonfiniteActions, kRlRejectedTransitions,

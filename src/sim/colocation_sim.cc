@@ -22,6 +22,14 @@ const char* policy_name(PolicyKind k) {
   return "?";
 }
 
+TieredMemory::Config SimConfig::memory_config() const {
+  if (!tiers.empty()) return {tiers};
+  TieredMemory::Config mc =
+      TieredMemory::Config::two_tier(bytes_to_pages(fmem), bytes_to_pages(smem));
+  mc.tiers[kFastestTier].link_bandwidth_bytes_per_sec = migration_bandwidth;
+  return mc;
+}
+
 ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : cfg_(cfg) {
   // Run without an explicit context? The sim owns one recording into the
   // process-global trace — the classic single-run behaviour.
@@ -34,19 +42,12 @@ ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : c
   obs::MetricsRegistry& reg = ctx_->metrics();
 
   // --- Platform ---------------------------------------------------------------
-  TieredMemory::Config mc;
-  MigrationEngine::Config ec{cfg.migration_bandwidth};
-  if (cfg.tiers.empty()) {
-    mc = TieredMemory::Config::two_tier(bytes_to_pages(cfg.fmem), bytes_to_pages(cfg.smem),
-                                        cfg.fmem_latency, cfg.smem_latency);
-  } else {
-    mc.tiers = cfg.tiers;
-    // Each tier's spec carries the bandwidth of its downhill link; link 0 is
-    // also the engine's headline (Eq. 1) bandwidth.
-    ec.bandwidth_bytes_per_sec = cfg.tiers.front().link_bandwidth_bytes_per_sec;
-    for (std::size_t t = 0; t + 1 < cfg.tiers.size(); ++t)
-      ec.link_bandwidth_bytes_per_sec.push_back(cfg.tiers[t].link_bandwidth_bytes_per_sec);
-  }
+  const TieredMemory::Config mc = cfg.memory_config();
+  // Each tier's spec carries the bandwidth of its downhill link; link 0 is
+  // also the engine's headline (Eq. 1) bandwidth.
+  MigrationEngine::Config ec{mc.tiers.front().link_bandwidth_bytes_per_sec};
+  for (std::size_t t = 0; t + 1 < mc.tiers.size(); ++t)
+    ec.link_bandwidth_bytes_per_sec.push_back(mc.tiers[t].link_bandwidth_bytes_per_sec);
   mem_ = std::make_unique<TieredMemory>(mc);
   engine_ = std::make_unique<MigrationEngine>(*mem_, ec);
   engine_->set_run_context(ctx_);
@@ -64,8 +65,11 @@ ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : c
   intervals_c_ = &reg.counter(obs::names::kSimIntervals);
   measured_intervals_c_ = &reg.counter(obs::names::kSimMeasuredIntervals);
   pages_moved_c_ = &reg.counter(obs::names::kMigrationPagesMoved);
-  bw_factor_g_[0] = &reg.gauge(obs::names::kBwFmemFactor);
-  bw_factor_g_[1] = &reg.gauge(obs::names::kBwSmemFactor);
+  // One gauge per tier; tier<k> names exist only beyond two tiers.
+  const char* const kFactorNames[] = {obs::names::kBwFmemFactor, obs::names::kBwSmemFactor,
+                                      obs::names::kBwTier2Factor, obs::names::kBwTier3Factor};
+  for (std::size_t t = 0; t < std::min(mem_->tier_count(), std::size(kFactorNames)); ++t)
+    bw_factor_g_[t] = &reg.gauge(kFactorNames[t]);
   trace_track_ = ctx_->trace().allocate_track();
 
   // --- Tenants: LC allocates first (paper Figure 2 setup) ---------------------
@@ -134,40 +138,12 @@ ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : c
       if (cfg.bandwidth.enabled && !opt.ppm.joint_objective) {
         // Contention-aware SA objective: with shared tier bandwidth, one
         // tenant's allocation changes every tenant's performance, so P(M) is
-        // evaluated jointly — per-tenant ideal placement under the bandwidth
-        // factors that placement itself induces (short fixed-point).
-        opt.ppm.joint_objective = [this](const std::vector<std::uint64_t>& alloc) {
-          const BandwidthModel& bw = cfg_.bandwidth;
-          const double base_f = static_cast<double>(mem_->base_latency(kFastestTier));
-          const double base_s = static_cast<double>(mem_->base_latency(kFastestTier + 1));
-          double ff = 1.0, fs = 1.0;
-          std::vector<double> hit(be_.size());
-          for (std::size_t i = 0; i < be_.size(); ++i)
-            hit[i] = be_[i]->hit_fraction_at_pages(i < alloc.size() ? alloc[i] : 0);
-          for (int it = 0; it < 4; ++it) {
-            double df = 0.0, ds = 0.0;
-            for (std::size_t i = 0; i < be_.size(); ++i) {
-              const double acc = be_[i]->rate_under(hit[i], base_f * ff, base_s * fs) *
-                                 be_[i]->config().profile.accesses_per_iteration;
-              df += acc * hit[i];
-              ds += acc * (1.0 - hit[i]);
-            }
-            ff = bandwidth_factor(bw, df / bw.fmem_accesses_per_sec);
-            fs = bandwidth_factor(bw, ds / bw.smem_accesses_per_sec);
-          }
-          double min_np = 1.0, sum_np = 0.0;
-          for (std::size_t i = 0; i < be_.size(); ++i) {
-            const double np =
-                be_[i]->rate_under(hit[i], base_f * ff, base_s * fs) / be_[i]->perf_full();
-            min_np = std::min(min_np, np);
-            sum_np += np;
-          }
-          return min_np + 1e-6 * sum_np;
-        };
+        // evaluated jointly.
+        opt.ppm.joint_objective = [this](const auto& alloc) { return joint_be_objective(alloc); };
       }
       if (opt.ppm.sa.unit_pages <= 1) {
         // Paper granularity: +-1 GB on 32 GB FMem -> 1/32 of capacity.
-        opt.ppm.sa.unit_pages = std::max<std::uint64_t>(1, bytes_to_pages(cfg.fmem) / 32);
+        opt.ppm.sa.unit_pages = std::max<std::uint64_t>(1, mem_->capacity(kFastestTier) / 32);
       }
       auto mtat = std::make_unique<MtatPolicy>(ctx, cfg.interval, cfg.lc.slo,
                                                std::move(models), opt, cfg.shared_agent);
@@ -178,7 +154,7 @@ ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : c
     }
   }
 
-  bw_factor_.assign(mem_->tier_count(), 1.0);
+  bw_factor_.fill(1.0);
   next_interval_ = cfg.interval;
   reset_stats();
   // Construction (including the reset_stats() above) is every sim's common
@@ -203,21 +179,8 @@ void ColocationSim::run(const LoadPattern& pattern, Duration duration, bool meas
   while (now_ < end) {
     tr.set_now(now_);
     const Duration dt = std::min<Duration>(cfg_.tick, end - now_);
-    if (inj_ != nullptr) {
-      // The injector's scheduled windows are evaluated at tick start.
-      inj_->set_now(now_);
-      if (!cfg_.bandwidth.enabled) {
-        // With the bandwidth model off nothing else touches the contention
-        // factors, so an SMem latency spike is applied (and lifted) directly.
-        const double spike = inj_->smem_latency_factor();
-        if (spike != smem_spike_applied_) {
-          mem_->set_contention_factor(kFastestTier + 1, spike);
-          smem_spike_applied_ = spike;
-        }
-      }
-    }
-    if (cfg_.bandwidth.enabled)
-      apply_bandwidth_model(pattern.rate_at(now_ - (end - duration)));
+    if (inj_ != nullptr) inj_->set_now(now_);  // windows are evaluated at tick start
+    apply_contention(pattern.rate_at(now_ - (end - duration)));
     engine_->begin_interval(dt);
     policy_->on_tick(now_, dt);
     for (auto& bw : be_) bw->tick(dt);
@@ -255,59 +218,58 @@ void ColocationSim::run(const LoadPattern& pattern, Duration duration, bool meas
   }
 }
 
-void ColocationSim::apply_bandwidth_model(double lc_offered_rps) {
-  // One-step-lagged fixed point: demand is computed from the previous tick's
-  // (possibly contended) rates, then the new factors apply to this tick.
+void ColocationSim::apply_contention(double lc_offered_rps) {
   const BandwidthModel& bw = cfg_.bandwidth;
-  if (mem_->tier_count() == 2) {
-    // The classic two-tier model, kept in its original arithmetic order so
-    // 2-tier runs stay bit-identical to the pre-tier-vector code.
-    double demand[2] = {0.0, 0.0};
-    for (const auto& be : be_) {
-      const double acc = be->current_rate() * be->config().profile.accesses_per_iteration;
-      demand[0] += acc * be->fmem_weight();
-      demand[1] += acc * (1.0 - be->fmem_weight());
-    }
-    const double lc_acc = lc_offered_rps * static_cast<double>(lc_->misses_per_request());
-    demand[0] += lc_acc * mem_->fmem_usage_ratio(lc_->id());
-    demand[1] += lc_acc * (1.0 - mem_->fmem_usage_ratio(lc_->id()));
-    const double cap[2] = {bw.fmem_accesses_per_sec, bw.smem_accesses_per_sec};
-    for (int t = 0; t < 2; ++t) {
-      const double target = bandwidth_factor(bw, demand[t] / cap[t]);
-      bw_factor_[t] = (1.0 - bw.damping) * bw_factor_[t] + bw.damping * target;
-      mem_->set_contention_factor(static_cast<TierId>(t), bw_factor_[t]);
-      bw_factor_g_[t]->set(bw_factor_[t]);
-    }
-  } else {
-    // N-tier: the same demand/inflation fixed point, with each workload's
-    // access stream split across tiers by the probability mass (BE) or page
-    // count (LC) resident there.
-    const TierId n = mem_->tier_count();
-    std::vector<double> demand(n, 0.0);
-    for (const auto& be : be_) {
-      const double acc = be->current_rate() * be->config().profile.accesses_per_iteration;
-      for (TierId t = 0; t < n; ++t) demand[t] += acc * be->tier_weight(t);
-    }
-    const double lc_acc = lc_offered_rps * static_cast<double>(lc_->misses_per_request());
-    const auto lc_total = static_cast<double>(mem_->workload_total(lc_->id()));
-    if (lc_total > 0) {
-      for (TierId t = 0; t < n; ++t)
-        demand[t] += lc_acc *
-                     static_cast<double>(mem_->workload_pages(lc_->id(), t)) / lc_total;
-    }
-    for (TierId t = 0; t < n; ++t) {
-      const double target = bandwidth_factor(bw, demand[t] / tier_accesses_per_sec(bw, t));
-      bw_factor_[t] = (1.0 - bw.damping) * bw_factor_[t] + bw.damping * target;
-      mem_->set_contention_factor(t, bw_factor_[t]);
-      if (t < 2) bw_factor_g_[t]->set(bw_factor_[t]);
-    }
+  const std::size_t n = mem_->tier_count();
+  if (bw.enabled) {
+    // One-step lag: demand uses the previous tick's rates. BE tenants split
+    // by resident access mass, the LC tenant by resident page share.
+    contention_step(bw, n, bw.damping, bw_factor_, [this, n, lc_offered_rps](const auto& add) {
+      for (const auto& be : be_)
+        add(be->current_rate() * be->config().profile.accesses_per_iteration,
+            be->tier_weights());
+      TierValues lc_share{};
+      const auto lc_total = static_cast<double>(mem_->workload_total(lc_->id()));
+      for (TierId t = 0; lc_total > 0 && t < n - 1; ++t)
+        lc_share[t] = static_cast<double>(mem_->workload_pages(lc_->id(), t)) / lc_total;
+      add(lc_offered_rps * static_cast<double>(lc_->misses_per_request()), lc_share);
+    });
+    for (std::size_t t = 0; t < n; ++t)
+      if (bw_factor_g_[t] != nullptr) bw_factor_g_[t]->set(bw_factor_[t]);
   }
-  if (inj_ != nullptr) {
-    // An injected SMem latency spike stacks multiplicatively on top of the
-    // modelled contention (the gauges keep reporting the model's own state).
-    const double spike = inj_->smem_latency_factor();
-    if (spike > 1.0) mem_->set_contention_factor(kFastestTier + 1, bw_factor_[1] * spike);
+  // An injected SMem latency spike multiplies tier 1's factor (not its gauge).
+  const double spike = inj_ != nullptr ? inj_->smem_latency_factor() : 1.0;
+  for (TierId t = 0; t < n; ++t)
+    mem_->set_contention_factor(t, t == kFastestTier + 1 ? bw_factor_[t] * spike : bw_factor_[t]);
+}
+
+double ColocationSim::joint_be_objective(const std::vector<std::uint64_t>& alloc) const {
+  const std::size_t n = mem_->tier_count();
+  std::vector<TierValues> split(be_.size());
+  for (std::size_t i = 0; i < be_.size(); ++i)
+    split[i] = be_[i]->split_at_hit(be_[i]->hit_fraction_at_pages(i < alloc.size() ? alloc[i] : 0));
+  TierValues factor{}, lat{};
+  factor.fill(1.0);
+  const auto inflate = [&] {
+    for (TierId t = 0; t < n; ++t) lat[t] = static_cast<double>(mem_->base_latency(t)) * factor[t];
+  };
+  for (int it = 0; it < 4; ++it) {
+    inflate();
+    contention_step(cfg_.bandwidth, n, 1.0, factor, [&](const auto& add) {
+      for (std::size_t i = 0; i < be_.size(); ++i)
+        add(be_[i]->rate_under(split[i], lat, n) *
+                be_[i]->config().profile.accesses_per_iteration,
+            split[i]);
+    });
   }
+  inflate();
+  double min_np = 1.0, sum_np = 0.0;
+  for (std::size_t i = 0; i < be_.size(); ++i) {
+    const double np = be_[i]->rate_under(split[i], lat, n) / be_[i]->perf_full();
+    min_np = std::min(min_np, np);
+    sum_np += np;
+  }
+  return min_np + 1e-6 * sum_np;
 }
 
 void ColocationSim::record_interval(double offered_rps, Duration lc_p99, Duration interval) {

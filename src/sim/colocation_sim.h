@@ -53,12 +53,10 @@ const char* policy_name(PolicyKind k);
 /// back into every workload's throughput and the LC service times.
 struct BandwidthModel {
   bool enabled = false;
-  double fmem_accesses_per_sec = 600e6;  ///< sustainable access rate, FMem
-  double smem_accesses_per_sec = 45e6;   ///< sustainable access rate, SMem
-  /// Optional per-tier sustainable rates for deeper topologies, indexed by
-  /// TierId. Tiers beyond the vector (or with it empty) fall back to
-  /// fmem_accesses_per_sec for tier 0 and smem_accesses_per_sec for the rest.
-  std::vector<double> tier_accesses_per_sec;
+  /// Sustainable access rates: tier 0 gets the FMem rate, every slower tier
+  /// (in any topology) the SMem rate.
+  double fmem_accesses_per_sec = 600e6;
+  double smem_accesses_per_sec = 45e6;
   /// Inflation curve: latency factor = 1 / (1 - saturation * utilization),
   /// the standard open-queue approximation; `saturation` < 1 softens it so
   /// the coupled demand/latency fixed point stays stable.
@@ -75,29 +73,38 @@ inline double bandwidth_factor(const BandwidthModel& bw, double rho) {
   return std::min(bw.max_factor, std::max(1.0, 1.0 / (1.0 - bw.saturation * r)));
 }
 
-/// Sustainable access rate of tier `t` under the model's fallback rules.
-inline double tier_accesses_per_sec(const BandwidthModel& bw, TierId t) {
-  if (t < bw.tier_accesses_per_sec.size()) return bw.tier_accesses_per_sec[t];
-  return t == kFastestTier ? bw.fmem_accesses_per_sec : bw.smem_accesses_per_sec;
+/// One step of the demand/latency fixed point over `n` tiers, shared by the
+/// per-tick model (damped) and PP-M's joint SA objective (undamped).
+/// `tenants(add)` calls add(accesses_per_sec, w) per tenant, `w` its split in
+/// remainder form; each factor then moves `damping` of the way to its target.
+template <class Tenants>
+void contention_step(const BandwidthModel& bw, std::size_t n, double damping,
+                     TierValues& factor, Tenants&& tenants) {
+  TierValues demand{};
+  tenants([&demand, n](double acc, const TierValues& w) {
+    for (std::size_t t = 0; t + 1 < n; ++t) demand[t] += acc * w[t];
+    demand[n - 1] += acc * slowest_share(w, n);
+  });
+  for (TierId t = 0; t < n; ++t) {
+    const double rate = t == kFastestTier ? bw.fmem_accesses_per_sec : bw.smem_accesses_per_sec;
+    const double target = bandwidth_factor(bw, demand[t] / rate);
+    factor[t] = (1.0 - damping) * factor[t] + damping * target;
+  }
 }
 
 struct SimConfig {
   // --- platform (DESIGN.md §5 scaled defaults) ---
   Bytes fmem = Bytes{2} * 1024 * 1024 * 1024;
   Bytes smem = Bytes{16} * 1024 * 1024 * 1024;
-  Duration fmem_latency = 73;
-  Duration smem_latency = 202;
   double migration_bandwidth = 4.0 * 1024 * 1024 * 1024;  ///< bytes/s (§5.5)
   /// Explicit tier vector (fastest first, e.g. from parse_topology). Empty —
-  /// the default — means the classic two-tier platform built from the four
-  /// fields above; non-empty overrides them, and each tier's link bandwidth
-  /// feeds the migration engine's per-link budgets.
+  /// the default — means the two-tier preset built from the three fields
+  /// above; non-empty overrides them, and each tier's link bandwidth feeds
+  /// the migration engine's per-link budgets.
   std::vector<TierSpec> tiers;
-  /// Capacity of the fastest tier, whichever way the platform was specified —
-  /// what cluster-level placement treats as the node's FMem.
-  Bytes fastest_capacity_bytes() const {
-    return tiers.empty() ? fmem : tiers.front().capacity_pages * kPageSize;
-  }
+  /// The node's tier vector: `tiers`, or the two-tier preset (paper latencies,
+  /// link 0 at migration_bandwidth). Whatever sizes against FMem reads tier 0.
+  TieredMemory::Config memory_config() const;
   // --- timing ---
   Duration tick = milliseconds(10);
   Duration interval = seconds(1);  ///< partitioning interval (paper: 60 s, /60)
@@ -238,12 +245,17 @@ class ColocationSim {
   obs::MetricsRegistry& metrics() { return ctx_->metrics(); }
   const obs::MetricsRegistry& metrics() const { return ctx_->metrics(); }
 
+  /// PP-M's contention-aware BE objective (bandwidth model on): min NP +
+  /// 1e-6·ΣNP with BE tenant i at split_at_hit of alloc[i] FMem pages, under
+  /// the factors four undamped contention_step()s of BE demand give it.
+  double joint_be_objective(const std::vector<std::uint64_t>& alloc) const;
+
   /// The observability context this sim records into (owned or borrowed).
   obs::RunContext& run_context() { return *ctx_; }
 
  private:
   void record_interval(double offered_rps, Duration lc_p99, Duration interval);
-  void apply_bandwidth_model(double lc_offered_rps);
+  void apply_contention(double lc_offered_rps);
   void update_derived_gauges();
 
   SimConfig cfg_;
@@ -262,7 +274,6 @@ class ColocationSim {
   std::unique_ptr<TieringPolicy> policy_;
   MtatPolicy* mtat_ = nullptr;  // non-null when policy is an MTAT variant
   faults::FaultInjector* inj_ = nullptr;  // the context's injector, or null
-  double smem_spike_applied_ = 1.0;  // spike factor currently on the SMem tier
 
   SimTime now_ = 0;
   SimTime next_interval_ = 0;
@@ -280,7 +291,7 @@ class ColocationSim {
   obs::Counter* intervals_c_ = nullptr;        // "sim.intervals"
   obs::Counter* measured_intervals_c_ = nullptr;  // "sim.measured_intervals"
   obs::Counter* pages_moved_c_ = nullptr;      // "migration.pages_moved" (engine-fed)
-  obs::Gauge* bw_factor_g_[2] = {nullptr, nullptr};
+  obs::Gauge* bw_factor_g_[kMaxTiers] = {};  // "bw.*_factor", tiers 0..3
 
   // Measurement phase bookkeeping. The §5.5 overhead aggregates are derived
   // from registry counters relative to marks captured at reset_stats().
@@ -294,7 +305,7 @@ class ColocationSim {
   double pages_moved_measured_ = 0;  // counter delta as of the last interval
   double policy_wall_mark_ = 0;
   double measured_intervals_mark_ = 0;
-  std::vector<double> bw_factor_;  // damped contention factors, one per tier
+  TierValues bw_factor_{};  // damped contention factors, one per tier
 };
 
 }  // namespace mtat

@@ -39,32 +39,22 @@ void BEWorkload::on_migration(PageId p, TierId from, TierId to) {
   ++migrations_pending_;
 }
 
-double BEWorkload::rate_for_weight(double fmem_weight) const {
-  const double lat_f = static_cast<double>(mem_->latency(kFastestTier));
-  const double lat_s = static_cast<double>(mem_->latency(kFastestTier + 1));
-  const double expected_lat = fmem_weight * lat_f + (1.0 - fmem_weight) * lat_s;
-  const double ns_per_iter =
-      cfg_.cpu_ns_per_iter + cfg_.profile.accesses_per_iteration * expected_lat / cfg_.mlp;
-  return static_cast<double>(cfg_.cores) * 1e9 / ns_per_iter;
+double BEWorkload::live_rate(const TierValues& w) const {
+  TierValues lat{};
+  for (TierId t = 0; t < mem_->tier_count(); ++t) lat[t] = static_cast<double>(mem_->latency(t));
+  return rate_under(w, lat, mem_->tier_count());
 }
 
-double BEWorkload::current_rate() const {
-  // Two tiers: the classic closed form over the fastest-tier weight (kept
-  // verbatim so the 2-tier arithmetic is bit-identical to the pre-tier-vector
-  // code). Deeper cascades weigh every tier's latency by the probability mass
-  // resident there.
-  if (mem_->tier_count() == 2) return rate_for_weight(tier_weight_[kFastestTier]);
-  double expected_lat = 0.0;
-  for (TierId t = 0; t < mem_->tier_count(); ++t)
-    expected_lat += tier_weight_[t] * static_cast<double>(mem_->latency(t));
-  const double ns_per_iter =
-      cfg_.cpu_ns_per_iter + cfg_.profile.accesses_per_iteration * expected_lat / cfg_.mlp;
-  return static_cast<double>(cfg_.cores) * 1e9 / ns_per_iter;
-}
-
-double BEWorkload::rate_at_pages(std::uint64_t fmem_pages) const {
-  const std::uint64_t g = std::min<std::uint64_t>(fmem_pages, space_->num_pages());
-  return rate_for_weight(best_prefix_[g]);
+TierValues BEWorkload::split_at_hit(double hit) const {
+  const auto n = static_cast<TierId>(mem_->tier_count());
+  std::uint64_t slow = 0;
+  for (TierId t = kFastestTier + 1; t < n; ++t) slow += mem_->workload_pages(id_, t);
+  TierValues w{hit};
+  for (TierId t = kFastestTier + 1; t + 1 < n; ++t)
+    w[t] = slow == 0 ? (t == kFastestTier + 1 ? 1.0 - hit : 0.0)
+                     : (1.0 - hit) * static_cast<double>(mem_->workload_pages(id_, t)) /
+                           static_cast<double>(slow);
+  return w;
 }
 
 void BEWorkload::tick(Duration dt) {

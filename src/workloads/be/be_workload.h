@@ -25,6 +25,18 @@
 
 namespace mtat {
 
+/// One double per tier, indexed by TierId; fixed size, so the tick never allocates.
+using TierValues = std::array<double, kMaxTiers>;
+
+/// Remainder form of a split over `n` tiers: w[0..n-2] are explicit and the
+/// slowest tier holds 1 − Σ_{t<n−1} w_t. Every BE cost and tier-demand split
+/// uses it, so at n = 2 it is w·x_f + (1−w)·x_s operation for operation.
+inline double slowest_share(const TierValues& w, std::size_t n) {
+  double placed = 0.0;
+  for (std::size_t t = 0; t + 1 < n; ++t) placed += w[t];
+  return 1.0 - placed;
+}
+
 struct BEConfig {
   std::string name;
   std::string description;    ///< Table 2 text
@@ -63,11 +75,13 @@ class BEWorkload : public MigrationListener {
   void tick(Duration dt);
 
   /// Instantaneous work rate (iterations/s) at the current placement.
-  double current_rate() const;
+  double current_rate() const { return live_rate(tier_weight_); }
 
-  /// Work rate if the workload's `fmem_pages` hottest pages were in FMem —
-  /// the offline-profiling curve PP-M's BE partitioning consumes (§3.2.2).
-  double rate_at_pages(std::uint64_t fmem_pages) const;
+  /// Work rate if the `fmem_pages` hottest pages were in FMem (the rest split as
+  /// split_at_hit does): the offline-profiling curve PP-M consumes (§3.2.2).
+  double rate_at_pages(std::uint64_t fmem_pages) const {
+    return live_rate(split_at_hit(hit_fraction_at_pages(fmem_pages)));
+  }
 
   /// Rate with the entire footprint in FMem: Perf_full of Eq. 3.
   double perf_full() const { return rate_at_pages(space_->num_pages()); }
@@ -78,15 +92,27 @@ class BEWorkload : public MigrationListener {
     return best_prefix_[std::min<std::uint64_t>(fmem_pages, space_->num_pages())];
   }
 
-  /// Work rate under explicit per-tier latencies — lets contention-aware
-  /// planners evaluate hypothetical placements under hypothetical bandwidth
-  /// conditions without touching the live memory state.
-  double rate_under(double fmem_weight, double lat_fmem_ns, double lat_smem_ns) const {
-    const double expected = fmem_weight * lat_fmem_ns + (1.0 - fmem_weight) * lat_smem_ns;
+  /// Work rate with access split `w` (remainder form) over `n` tiers at
+  /// per-access latencies `lat`: the one BE cost kernel, also used to score
+  /// hypothetical placements under hypothetical contention.
+  double rate_under(const TierValues& w, const TierValues& lat, std::size_t n) const {
+    double expected = 0.0;
+    for (std::size_t t = 0; t + 1 < n; ++t) expected += w[t] * lat[t];
+    expected += slowest_share(w, n) * lat[n - 1];
     const double ns_per_iter =
         cfg_.cpu_ns_per_iter + cfg_.profile.accesses_per_iteration * expected / cfg_.mlp;
     return static_cast<double>(cfg_.cores) * 1e9 / ns_per_iter;
   }
+
+  /// The two-tier case of the kernel: `fmem_weight` in FMem, the rest in SMem.
+  double rate_under(double fmem_weight, double lat_fmem_ns, double lat_smem_ns) const {
+    return rate_under(TierValues{fmem_weight}, TierValues{lat_fmem_ns, lat_smem_ns}, 2);
+  }
+
+  /// The split with `hit` of the access mass in tier 0; 1 − hit is spread over
+  /// tiers 1..n−1 by this workload's current page residency there, or all in
+  /// tier 1 (where a demotion lands) when it has no page below tier 0.
+  TierValues split_at_hit(double hit) const;
 
   /// Iterations accrued since the last call (per-interval throughput).
   double take_interval_iterations();
@@ -96,15 +122,16 @@ class BEWorkload : public MigrationListener {
   /// tier.
   double fmem_weight() const { return tier_weight_[kFastestTier]; }
 
-  /// Fraction of the access distribution resident in tier `t`.
-  double tier_weight(TierId t) const { return tier_weight_[t]; }
+  /// Fraction of the access distribution resident in each tier.
+  const TierValues& tier_weights() const { return tier_weight_; }
 
   WorkloadId id() const { return id_; }
   AddressSpace& space() { return *space_; }
   const BEConfig& config() const { return cfg_; }
 
  private:
-  double rate_for_weight(double fmem_weight) const;
+  /// rate_under at every tier's live (contended) latency.
+  double live_rate(const TierValues& w) const;
   /// Maintains the incremental per-tier resident weight sums (MigrationListener).
   void on_migration(PageId p, TierId from, TierId to) override;
 
@@ -119,7 +146,7 @@ class BEWorkload : public MigrationListener {
   PageId first_page_ = 0;
   /// tier_weight_[t] = summed access probability of this workload's pages
   /// currently resident in tier t (so the entries sum to ~1).
-  std::array<double, kMaxTiers> tier_weight_{};
+  TierValues tier_weight_{};
   double total_iterations_ = 0.0;
   double interval_iterations_ = 0.0;
   std::uint64_t migrations_pending_ = 0;

@@ -171,6 +171,22 @@ TEST(ClusterSim, TenantPopulationMatchesConfigAndSeed) {
   EXPECT_NEAR(total, want, 1e-9 * want);
 }
 
+TEST(ClusterSim, TenantFootprintsFollowTierZero) {
+  // An explicit tier vector overrides node.fmem: tenant working sets are a
+  // fraction of the fast tier the nodes actually build.
+  ClusterConfig by_tiers = tiny_cluster();
+  by_tiers.node.tiers = {{"dram", bytes_to_pages(64_MiB), 73},
+                         {"cxl", bytes_to_pages(512_MiB), 202}};
+  ClusterConfig by_preset = tiny_cluster();
+  by_preset.node.fmem = 64_MiB;
+  const ClusterSim a(by_tiers), b(by_preset), preset_32(tiny_cluster());
+  ASSERT_EQ(a.tenants().size(), b.tenants().size());
+  for (std::size_t i = 0; i < a.tenants().size(); ++i) {
+    EXPECT_EQ(a.tenants()[i].footprint, b.tenants()[i].footprint) << i;
+    EXPECT_GT(a.tenants()[i].footprint, preset_32.tenants()[i].footprint) << i;
+  }
+}
+
 /// Drops rows measuring host wall time from a node metrics dump — they time
 /// real execution and vary run to run even serially, so they are explicitly
 /// outside the determinism contract (obs::names::is_wall_time_metric).

@@ -298,7 +298,8 @@ TEST(LintSource, TierLiteralsOutsideMemAndTestsAreReported) {
   const auto findings = lint_fixture("bad_tier_literal.cc");
   EXPECT_TRUE(has(findings, "tier-literal", 6, "Tier::kFMem")) << dump(findings);
   EXPECT_TRUE(has(findings, "tier-literal", 7, "Tier::kSMem")) << dump(findings);
-  EXPECT_EQ(findings.size(), 2u) << dump(findings);
+  EXPECT_TRUE(has(findings, "tier-literal", 8, "tier_count() == 2")) << dump(findings);
+  EXPECT_EQ(findings.size(), 3u) << dump(findings);
 }
 
 TEST(LintSource, TierLiteralsAllowedInMemSubstrateAndTests) {

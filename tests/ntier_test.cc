@@ -1,10 +1,11 @@
 // N-tier topology tests for the tier-vector memory API: allocation spill
 // order beyond two tiers, cascaded (link-by-link) demotion, independent
 // per-link migration budgets, multi-link exchange rollback under an
-// MTAT_FAULTS=storm-style plan, and the MTAT_TOPOLOGY spec parser's
-// rejection of malformed inputs. The two-tier behavior these generalize is
-// covered by mem_test.cc and page_hotness_equivalence_test.cc; everything
-// here needs at least a third tier to be observable.
+// MTAT_FAULTS=storm-style plan, per-tier bandwidth contention gauges, and
+// the MTAT_TOPOLOGY spec parser's rejection of malformed inputs. The
+// two-tier behavior these generalize is covered by mem_test.cc and
+// page_hotness_equivalence_test.cc; everything here needs at least a third
+// tier to be observable.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +17,8 @@
 #include "mem/topology.h"
 #include "obs/names.h"
 #include "obs/run_context.h"
+#include "sim/colocation_sim.h"
+#include "workloads/be/be_suite.h"
 
 namespace mtat {
 namespace {
@@ -171,6 +174,41 @@ TEST(NTierMigration, NonAdjacentExchangeRollsBackUnderStorm) {
   EXPECT_EQ(engine.total_pages_moved(), 0u);
   EXPECT_DOUBLE_EQ(counter_value(ctx, obs::names::kFaultMigrationRollbacks), 1.0);
   EXPECT_DOUBLE_EQ(counter_value(ctx, obs::names::kFaultMigrationFailures), 1.0);
+}
+
+// ------------------------------------------------------ bandwidth contention --
+
+TEST(NTierBandwidth, EveryTierExportsItsContentionFactor) {
+  // The contention model runs per tier on any topology; tiers beyond the
+  // classic pair register bw.tier<k>_factor gauges, two-tier sims do not.
+  SimConfig cfg;
+  cfg.tiers = {{"dram", bytes_to_pages(8_MiB), 73},
+               {"cxl", bytes_to_pages(24_MiB), 202},
+               {"nvm", bytes_to_pages(512_MiB), 450}};
+  cfg.lc = redis_config();
+  cfg.lc.n_records = 30'000;
+  cfg.be = be_suite(BEScale::kTest, 36_MiB, 4, 2);
+  cfg.policy = PolicyKind::kMemtis;
+  cfg.bandwidth.enabled = true;
+  cfg.bandwidth.smem_accesses_per_sec = 5e6;  // BE-heavy NVM saturates
+  ColocationSim sim(cfg);
+  sim.run(LoadPattern::constant(500.0), seconds(3));
+  const char* const names[] = {obs::names::kBwFmemFactor, obs::names::kBwSmemFactor,
+                               obs::names::kBwTier2Factor};
+  for (TierId t = 0; t < 3; ++t) {
+    const obs::Gauge* g = sim.metrics().find_gauge(names[t]);
+    ASSERT_NE(g, nullptr) << names[t];
+    EXPECT_GE(g->value(), 1.0) << names[t];
+    EXPECT_LE(g->value(), cfg.bandwidth.max_factor) << names[t];
+    EXPECT_EQ(g->value(), sim.mem().contention_factor(t)) << names[t];
+  }
+  EXPECT_GT(sim.metrics().find_gauge(obs::names::kBwTier2Factor)->value(), 1.0);
+  EXPECT_EQ(sim.metrics().find_gauge(obs::names::kBwTier3Factor), nullptr);
+
+  cfg.tiers = {{"dram", bytes_to_pages(8_MiB), 73}, {"cxl", bytes_to_pages(512_MiB), 202}};
+  ColocationSim two_tier(cfg);
+  EXPECT_NE(two_tier.metrics().find_gauge(obs::names::kBwSmemFactor), nullptr);
+  EXPECT_EQ(two_tier.metrics().find_gauge(obs::names::kBwTier2Factor), nullptr);
 }
 
 // --------------------------------------------------------- topology parser --

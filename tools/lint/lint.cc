@@ -423,14 +423,32 @@ class SourceLinter {
                "or trace order; use std::map/std::set or drain into a sorted vector first");
   }
 
-  /// Raw two-tier aliases `Tier::kFMem` / `Tier::kSMem` outside the memory
-  /// substrate and the tests: code that names the two classic tiers directly
-  /// silently stops generalizing to N-tier topologies. Spell the fast tier
-  /// as kFastestTier, derive others with TierId arithmetic, or use the
-  /// slower-aggregate telemetry queries.
+  /// Two-tier special cases outside the memory substrate and the tests: the
+  /// raw aliases `Tier::kFMem` / `Tier::kSMem`, and `tier_count() == 2` /
+  /// `!= 2` forks. Code that names the two classic tiers directly, or keeps a
+  /// separate two-tier path, silently stops generalizing to N-tier
+  /// topologies. Spell the fast tier as kFastestTier, derive others with
+  /// TierId arithmetic, use the slower-aggregate telemetry queries, and write
+  /// per-tier arithmetic so it degenerates exactly at two tiers.
   void check_tier_literal(std::size_t i) {
     if (rel_.rfind("src/mem/", 0) == 0 || rel_.rfind("tests/", 0) == 0) return;
     const Token& t = lexed_.tokens[i];
+    if (t.text == "tier_count") {
+      const Token* open = tok(i + 1);
+      const Token* close = tok(i + 2);
+      const Token* op = tok(i + 3);
+      const Token* two = tok(i + 4);
+      if (open == nullptr || close == nullptr || op == nullptr || two == nullptr ||
+          !is_punct(*open, "(") || !is_punct(*close, ")") ||
+          !(is_punct(*op, "==") || is_punct(*op, "!=")) || two->kind != Token::Kind::kNumber ||
+          (two->text != "2" && two->text != "2u"))
+        return;
+      report(op->line, "tier-literal",
+             "two-tier fork tier_count() " + op->text +
+                 " 2 outside src/mem/ and tests/: write the per-tier arithmetic once so it "
+                 "degenerates exactly at two tiers");
+      return;
+    }
     if (t.text != "Tier") return;
     const Token* colons = tok(i + 1);
     const Token* member = tok(i + 2);

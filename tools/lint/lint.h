@@ -55,12 +55,14 @@
 //  pointer-order Ordering or keying by pointer value — std::map/std::set
 //                keyed by a pointer type, or uintptr_t/intptr_t conversions —
 //                follows allocation addresses, which differ run to run.
-//  tier-literal  The two-tier aliases Tier::kFMem / Tier::kSMem are confined
-//                to the memory substrate (src/mem/, where they are defined)
+//  tier-literal  The two-tier aliases Tier::kFMem / Tier::kSMem, and
+//                `tier_count() == 2` / `!= 2` forks, are confined to the
+//                memory substrate (src/mem/, where the aliases are defined)
 //                and to tests (which pin two-tier fixtures deliberately).
 //                Everywhere else spells tiers as kFastestTier, TierId
-//                arithmetic, or the slower-aggregate telemetry queries, so
-//                the code keeps working on N-tier topologies.
+//                arithmetic, or the slower-aggregate telemetry queries, and
+//                writes per-tier arithmetic once, so the code keeps working
+//                on N-tier topologies.
 //
 // Model rules:
 //  shared-mutable

@@ -135,7 +135,7 @@ PolicyKind policy_from(const std::string& s) {
   return it->second;
 }
 
-LCConfig lc_from(const Args& a) {
+LCConfig lc_from(const Args& a, Bytes fmem) {
   LCConfig c;
   if (a.lc == "redis") c = redis_config();
   else if (a.lc == "memcached") c = memcached_config();
@@ -146,7 +146,6 @@ LCConfig lc_from(const Args& a) {
     usage(2);
   }
   // Size the footprint to ~1.05x FMem, as in the paper.
-  const Bytes fmem = static_cast<Bytes>(a.fmem_mib * 1024 * 1024);
   c.n_records = static_cast<std::uint64_t>(1.05 * static_cast<double>(fmem) /
                                            static_cast<double>(c.record_size));
   if (a.zipf) c.dist = RequestDist::kZipfian;
@@ -174,8 +173,11 @@ int main(int argc, char** argv) {
     }
     cfg.tiers = *tiers;
   }
-  cfg.lc = lc_from(a);
-  cfg.be = be_suite(BEScale::kDefault, cfg.fmem + cfg.fmem / 10, a.be_cores, a.n_be);
+  // Tenant footprints follow the fast tier actually built: tier 0 of
+  // --topology when given, else --fmem-mib.
+  const Bytes fmem = cfg.memory_config().tiers.front().capacity_pages * kPageSize;
+  cfg.lc = lc_from(a, fmem);
+  cfg.be = be_suite(BEScale::kDefault, fmem + fmem / 10, a.be_cores, a.n_be);
   cfg.policy = policy_from(a.policy);
   cfg.seed = a.seed;
   if (a.bandwidth) {
