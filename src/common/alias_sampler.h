@@ -3,9 +3,18 @@
 // Used by the BE workload engine to draw telemetry samples from a kernel's
 // page-access profile at simulation time (hundreds of thousands of draws per
 // simulated second, so O(log n) inversion sampling would dominate the run).
+//
+// A draw is two RNG calls — a column (next_below) and a coin (next_double) —
+// and one table lookup. The table is an array of {prob, alias} columns, so a
+// lookup is one cache line. The BE tick draws a chunk at a time with draw():
+// every RNG call first, in operator()'s order, then the lookups as one pass
+// with the columns prefetched ahead, since over a large profile nearly every
+// lookup misses the cache (DESIGN.md §14.5).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -26,8 +35,7 @@ class AliasSampler {
       total += w;
     }
     if (total <= 0.0) throw std::invalid_argument("AliasSampler: all weights zero");
-    prob_.resize(n);
-    alias_.resize(n);
+    cols_.resize(n);
     // Scale to mean 1 and split into under/over-full columns.
     std::vector<double> scaled(n);
     std::vector<std::uint32_t> small, large;
@@ -39,31 +47,60 @@ class AliasSampler {
       const std::uint32_t s = small.back();
       small.pop_back();
       const std::uint32_t l = large.back();
-      prob_[s] = scaled[s];
-      alias_[s] = l;
+      cols_[s] = {scaled[s], l};
       scaled[l] -= 1.0 - scaled[s];
       if (scaled[l] < 1.0) {
         large.pop_back();
         small.push_back(l);
       }
     }
-    for (std::uint32_t i : large) prob_[i] = 1.0;
-    for (std::uint32_t i : small) prob_[i] = 1.0;  // numerical leftovers
+    for (std::uint32_t i : large) cols_[i].prob = 1.0;
+    for (std::uint32_t i : small) cols_[i].prob = 1.0;  // numerical leftovers
     for (std::size_t i = 0; i < n; ++i)
-      if (prob_[i] >= 1.0) alias_[i] = static_cast<std::uint32_t>(i);
+      if (cols_[i].prob >= 1.0) cols_[i].alias = static_cast<std::uint32_t>(i);
   }
 
   /// Draw one index distributed according to the weights.
   std::uint32_t operator()(Rng& rng) const {
-    const std::uint32_t col = static_cast<std::uint32_t>(rng.next_below(prob_.size()));
-    return rng.next_double() < prob_[col] ? col : alias_[col];
+    const auto col = static_cast<std::uint32_t>(rng.next_below(cols_.size()));
+    return resolve(col, rng.next_double());
   }
 
-  std::size_t size() const { return prob_.size(); }
+  /// Fill `out` with out.size() draws: the same indices, and the same `rng`
+  /// state afterwards, as that many calls of operator(). Each block of
+  /// kBlock draws pulls all its RNG values first (column, coin, column, ...),
+  /// then resolves the columns with the table lookups prefetched ahead.
+  void draw(Rng& rng, std::span<std::uint32_t> out) const {
+    double coin[kBlock];
+    for (std::size_t base = 0; base < out.size(); base += kBlock) {
+      const std::span<std::uint32_t> col = out.subspan(base, std::min(kBlock, out.size() - base));
+      for (std::size_t i = 0; i < col.size(); ++i) {
+        col[i] = static_cast<std::uint32_t>(rng.next_below(cols_.size()));
+        coin[i] = rng.next_double();
+      }
+      for (std::size_t i = 0; i < col.size(); ++i) {
+        if (col.size() - i > kAhead) __builtin_prefetch(&cols_[col[i + kAhead]]);
+        col[i] = resolve(col[i], coin[i]);
+      }
+    }
+  }
+
+  std::size_t size() const { return cols_.size(); }
 
  private:
-  std::vector<double> prob_;
-  std::vector<std::uint32_t> alias_;
+  static constexpr std::size_t kBlock = 256;  ///< draws whose coins draw() holds at once
+  static constexpr std::size_t kAhead = 16;   ///< prefetch distance, in draws
+
+  struct Column {
+    double prob = 0.0;
+    std::uint32_t alias = 0;
+  };
+
+  std::uint32_t resolve(std::uint32_t col, double coin) const {
+    return coin < cols_[col].prob ? col : cols_[col].alias;
+  }
+
+  std::vector<Column> cols_;
 };
 
 }  // namespace mtat

@@ -4,9 +4,13 @@
 // every "P99 over time" series (Figures 2 and 5), (b) a resettable interval
 // histogram PP-M reads for the RL reward's p99 (Eq. 2), and (c) cumulative
 // SLO-violation accounting (Table 4).
+//
+// Only the open window keeps a histogram; a closed window keeps the summary
+// its readers use, so a recorder's memory stays flat over a long run.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/latency_histogram.h"
@@ -16,16 +20,28 @@ namespace mtat {
 
 class LatencyRecorder {
  public:
+  /// One window's requests, by arrival time.
+  struct Window {
+    std::uint64_t count = 0;
+    double mean = 0.0;  ///< mean sojourn, ns
+    Duration p99 = 0;
+  };
+
   LatencyRecorder(Duration window, Duration slo) : window_(window), slo_(slo) {
     if (window == 0) throw std::invalid_argument("LatencyRecorder: zero window");
   }
 
   /// Record one request completed with the given sojourn time, attributed to
-  /// the window of its arrival time `at`.
+  /// the window of its arrival time `at`. Arrivals may not go back to a
+  /// window a later arrival has closed.
   void record(SimTime at, Duration sojourn) {
     const auto w = static_cast<std::size_t>(at / window_);
-    if (windows_.size() <= w) windows_.resize(w + 1);
-    windows_[w].record(sojourn);
+    if (w < closed_.size()) throw std::logic_error("LatencyRecorder: arrival in a closed window");
+    while (closed_.size() < w) {
+      closed_.push_back(summary(open_));
+      open_.reset();
+    }
+    open_.record(sojourn);
     interval_.record(sojourn);
     ++total_;
     if (sojourn > slo_) ++violations_;
@@ -38,15 +54,20 @@ class LatencyRecorder {
     return out;
   }
 
-  /// P99 of each completed-so-far window; empty windows report 0.
-  std::vector<Duration> p99_series() const {
-    std::vector<Duration> out;
-    out.reserve(windows_.size());
-    for (const auto& h : windows_) out.push_back(h.percentile(99.0));
+  /// Every window up to the latest arrival's; empty windows report zeros.
+  std::vector<Window> windows() const {
+    std::vector<Window> out = closed_;
+    if (total_ > 0) out.push_back(summary(open_));
     return out;
   }
 
-  const std::vector<LatencyHistogram>& windows() const { return windows_; }
+  /// P99 of each window up to the latest arrival's; empty windows report 0.
+  std::vector<Duration> p99_series() const {
+    std::vector<Duration> out;
+    for (const Window& w : windows()) out.push_back(w.p99);
+    return out;
+  }
+
   Duration window_length() const { return window_; }
   Duration slo() const { return slo_; }
 
@@ -59,9 +80,14 @@ class LatencyRecorder {
   }
 
  private:
+  static Window summary(const LatencyHistogram& h) {
+    return {h.count(), h.mean(), h.percentile(99.0)};
+  }
+
   Duration window_;
   Duration slo_;
-  std::vector<LatencyHistogram> windows_;
+  std::vector<Window> closed_;  ///< windows [0, closed_.size())
+  LatencyHistogram open_;       ///< window closed_.size()
   LatencyHistogram interval_;
   std::uint64_t total_ = 0;
   std::uint64_t violations_ = 0;

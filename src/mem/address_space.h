@@ -8,7 +8,9 @@
 // LLC miss — the unit the paper's PEBS events count — not once per load.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -22,7 +24,9 @@ namespace mtat {
 class AccessObserver {
  public:
   virtual ~AccessObserver() = default;
-  virtual void on_sampled_access(WorkloadId w, PageId p, AccessKind kind) = 0;
+  /// A batch of samples of workload `w`, all of kind `kind`, in stream order.
+  /// `pages` is the caller's scratch: the observer may overwrite it.
+  virtual void on_samples(WorkloadId w, std::span<PageId> pages, AccessKind kind) = 0;
 };
 
 class AddressSpace {
@@ -62,9 +66,16 @@ class AddressSpace {
     const PageId p = page_at_index(vpage);
     const std::uint64_t before = accesses_ / sample_period_;
     accesses_ += n;
-    const std::uint64_t samples = accesses_ / sample_period_ - before;
-    if (observer_ != nullptr)
-      for (std::uint64_t i = 0; i < samples; ++i) observer_->on_sampled_access(workload_, p, kind);
+    std::uint64_t samples = accesses_ / sample_period_ - before;
+    if (observer_ != nullptr) {
+      PageId batch[kBatch];
+      while (samples > 0) {
+        const std::size_t k = std::min<std::uint64_t>(samples, kBatch);
+        std::fill_n(batch, k, p);
+        observer_->on_samples(workload_, {batch, k}, kind);
+        samples -= k;
+      }
+    }
     return mem_->access_latency(p) * n;
   }
 
@@ -94,6 +105,8 @@ class AddressSpace {
   TieredMemory& memory() const { return *mem_; }
 
  private:
+  static constexpr std::size_t kBatch = 64;  ///< samples per observer call
+
   TieredMemory* mem_;
   WorkloadId workload_;
   Bytes size_;

@@ -101,6 +101,11 @@ class TieredMemory {
   // --- Queries ---------------------------------------------------------------
 
   TierId tier_of(PageId p) const { return info_[check(p)].tier; }
+  /// Cache hint that tier_of(p) is about to be read; changes nothing, and
+  /// ignores ids beyond the allocated pages.
+  void prefetch(PageId p) const {
+    if (p < info_.size()) __builtin_prefetch(&info_[p]);
+  }
   WorkloadId owner_of(PageId p) const { return info_[check(p)].owner; }
 
   std::size_t tier_count() const { return cfg_.tiers.size(); }

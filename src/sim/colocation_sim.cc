@@ -87,7 +87,7 @@ ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : c
                                                cfg.be[i], be_alloc, sampler_.get(),
                                                seeder.next_u64()));
 
-  queue_ = std::make_unique<QueueSim>(*lc_, cfg.latency_window, seeder.next_u64());
+  queue_ = std::make_unique<QueueSim>(*lc_, cfg.interval, seeder.next_u64());
   queue_->set_run_context(ctx_);
   be_measured_iters_.assign(be_.size(), 0.0);
 

@@ -108,7 +108,6 @@ struct SimConfig {
   // --- timing ---
   Duration tick = milliseconds(10);
   Duration interval = seconds(1);  ///< partitioning interval (paper: 60 s, /60)
-  Duration latency_window = seconds(1);
   // --- tenants ---
   LCConfig lc;
   std::vector<BEConfig> be;

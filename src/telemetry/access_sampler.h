@@ -2,16 +2,25 @@
 //
 // The paper's PP-E samples MEM_LOAD_L3_MISS_RETIRED.{LOCAL,REMOTE}_DRAM and
 // MEM_INST_RETIRED.ALL_STORES to classify each sampled access as FMem or SMem
-// and accumulate page-level counts. Here the AddressSpace delivers a 1-in-N
-// sample of modelled accesses; AccessSampler classifies it by the page's
-// current tier, maintains the per-workload interval counters PP-M's RL state
-// is built from (FMem Access Ratio, Memory Access Count), and fans the sample
-// out to the registered PageHotness histograms.
+// and accumulate page-level counts. Here the AddressSpaces and BE tenants
+// deliver a 1-in-N sample of modelled accesses in batches; AccessSampler
+// classifies each sample by the page's current tier, maintains the
+// per-workload interval counters PP-M's RL state is built from (FMem Access
+// Ratio, Memory Access Count), and fans the batch out to the registered
+// PageHotness histograms and per-sample callbacks.
+//
+// Ingest is consumer by consumer, not sample by sample: one pass over the
+// batch draws the fault drop/corrupt decisions in sample order and counts
+// tiers, then each sink and each callback takes the surviving samples in
+// order. Nothing migrates during ingest and no consumer reads another's
+// state, so every consumer ends in the state the sample-by-sample loop
+// left it in (DESIGN.md §14.5).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -25,22 +34,27 @@ namespace mtat {
 
 /// Per-workload counters accumulated over one observation interval.
 struct IntervalCounters {
-  std::uint64_t fmem_accesses = 0;  ///< sampled accesses resolved in the fastest tier
-  std::uint64_t smem_accesses = 0;  ///< sampled accesses resolved in any slower tier
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  /// Per-tier breakdown of the same samples (tier_accesses[0] ==
-  /// fmem_accesses; slower tiers sum to smem_accesses). Lets N-tier policies
-  /// see where in the cascade the misses actually land.
+  /// Sampled accesses by the tier that served them, so N-tier policies see
+  /// where in the cascade the misses actually land.
   std::array<std::uint64_t, kMaxTiers> tier_accesses{};
 
-  std::uint64_t total() const { return fmem_accesses + smem_accesses; }
+  /// Sampled accesses resolved in the fastest tier.
+  std::uint64_t fmem_accesses() const { return tier_accesses[kFastestTier]; }
+  /// Sampled accesses resolved in any slower tier.
+  std::uint64_t smem_accesses() const { return total() - fmem_accesses(); }
+  std::uint64_t total() const {
+    std::uint64_t t = 0;
+    for (const std::uint64_t n : tier_accesses) t += n;
+    return t;
+  }
 
   /// The paper's "FMem Access Ratio": share of accesses served by FMem.
   /// Returns 1.0 for an idle interval (no accesses means no SMem misses).
   double fmem_access_ratio() const {
     const std::uint64_t t = total();
-    return t == 0 ? 1.0 : static_cast<double>(fmem_accesses) / static_cast<double>(t);
+    return t == 0 ? 1.0 : static_cast<double>(fmem_accesses()) / static_cast<double>(t);
   }
 };
 
@@ -51,40 +65,25 @@ class AccessSampler : public AccessObserver {
   explicit AccessSampler(const TieredMemory& mem, std::uint64_t sample_period = 1)
       : mem_(&mem), sample_period_(sample_period == 0 ? 1 : sample_period) {}
 
-  void on_sampled_access(WorkloadId w, PageId p, AccessKind kind) override {
-    if (faults_ != nullptr) {
-      if (faults_->drop_sample()) {
-        dropped_c_->inc();
-        return;
-      }
-      if (faults_->corrupt_sample()) {
-        // Misattribute the sample to a uniformly random page of the same
-        // workload — hotness and tier classification both go wrong, which is
-        // the PEBS-misattribution failure mode.
-        const std::vector<PageId>& pages = mem_->pages_of(w);
-        if (!pages.empty()) {
-          p = pages[faults_->pick(pages.size())];
-          corrupted_c_->inc();
-        }
-      }
-    }
+  /// One sample: a batch of one.
+  void on_sampled_access(WorkloadId w, PageId p, AccessKind kind) { on_samples(w, {&p, 1}, kind); }
+
+  void on_samples(WorkloadId w, std::span<PageId> pages, AccessKind kind) override {
+    if (faults_ != nullptr) pages = apply_faults(w, pages);
+    if (pages.empty()) return;
     if (current_.size() <= w) {
       current_.resize(static_cast<std::size_t>(w) + 1);
       cumulative_.resize(static_cast<std::size_t>(w) + 1);
     }
     IntervalCounters& c = current_[w];
-    const TierId tier = mem_->tier_of(p);
-    if (tier == kFastestTier)
-      ++c.fmem_accesses;
-    else
-      ++c.smem_accesses;
-    ++c.tier_accesses[tier];
-    if (kind == AccessKind::kRead)
-      ++c.reads;
-    else
-      ++c.writes;
-    for (PageHotness* h : sinks_) h->record_access(w, p);
-    for (const auto& cb : callbacks_) cb(w, p, kind);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      if (pages.size() - i > kAhead) mem_->prefetch(pages[i + kAhead]);
+      ++c.tier_accesses[mem_->tier_of(pages[i])];
+    }
+    (kind == AccessKind::kRead ? c.reads : c.writes) += pages.size();
+    for (PageHotness* h : sinks_) h->record_batch(w, pages);
+    for (const auto& cb : callbacks_)
+      for (const PageId p : pages) cb(w, p, kind);
   }
 
   /// Attach a fault injector (telemetry sample loss / corruption). Registers
@@ -108,6 +107,10 @@ class AccessSampler : public AccessObserver {
   /// Attach an arbitrary per-sample callback (e.g. TPP's fault shadowing).
   using SampleCallback = std::function<void(WorkloadId, PageId, AccessKind)>;
   void add_callback(SampleCallback cb) { callbacks_.push_back(std::move(cb)); }
+
+  /// The attached callbacks, in registration order — read-only, for the
+  /// differential ingest test (tests/telemetry_batch_equivalence_test.cc).
+  const std::vector<SampleCallback>& callbacks() const { return callbacks_; }
 
   /// Read-and-reset the interval counters for workload `w`. Called once per
   /// observation interval by the policy layer.
@@ -135,9 +138,33 @@ class AccessSampler : public AccessObserver {
   std::uint64_t sample_period() const { return sample_period_; }
 
  private:
+  static constexpr std::size_t kAhead = 8;  ///< page-info prefetch distance, in samples
+
+  /// The telemetry faults, in sample order: drops a sample (compacting the
+  /// survivors to the front) or misattributes it to a uniformly random page
+  /// of the same workload — hotness and tier classification both go wrong,
+  /// which is the PEBS-misattribution failure mode. Returns the survivors.
+  std::span<PageId> apply_faults(WorkloadId w, std::span<PageId> pages) {
+    std::size_t kept = 0;
+    for (const PageId p : pages) {
+      if (faults_->drop_sample()) {
+        dropped_c_->inc();
+        continue;
+      }
+      PageId& out = pages[kept++];
+      out = p;
+      if (faults_->corrupt_sample()) {
+        const std::vector<PageId>& owned = mem_->pages_of(w);
+        if (!owned.empty()) {
+          out = owned[faults_->pick(owned.size())];
+          corrupted_c_->inc();
+        }
+      }
+    }
+    return pages.first(kept);
+  }
+
   static void accumulate(IntervalCounters& into, const IntervalCounters& from) {
-    into.fmem_accesses += from.fmem_accesses;
-    into.smem_accesses += from.smem_accesses;
     into.reads += from.reads;
     into.writes += from.writes;
     for (std::size_t t = 0; t < from.tier_accesses.size(); ++t)

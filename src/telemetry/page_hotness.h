@@ -22,7 +22,7 @@
 // parallel pos_ array giving the page's slot in its bin vector. This
 // replaces a 16-byte AoS entry whose hot path also had to chase
 // TieredMemory::tier_of on every record; the tier field is kept in sync by
-// the migration listener instead, so the common record_access — a same-bin
+// the migration listener instead, so the common record — a same-bin
 // count bump — inlines to one word load, a shift, a power-of-two test, and
 // one word store. Logical bins 1..kBins-1 live in a circular array offset by
 // base_, so age() merges logical bin 1 into bin 0 and advances base_ instead
@@ -33,6 +33,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -61,30 +62,22 @@ class PageHotness : public MigrationListener {
   /// call this once at attach time.
   void seed_allocated_pages();
 
-  /// Record one sampled access to page `p` by workload `w`. The overwhelmingly
-  /// common case — tracked page whose count stays within its bin — is a single
-  /// load/store on the packed word; bin moves and first-touch tracking take
-  /// the out-of-line paths.
+  /// Record one sampled access to page `p` by workload `w`.
   void record_access(WorkloadId w, PageId p) {
     if (filter_ != kInvalidWorkload && w != filter_) return;
-    if (p >= words_.size()) {
-      record_untracked(p);
-      return;
+    record(p);
+  }
+
+  /// Record sampled accesses to `pages` by workload `w`, in order — the same
+  /// state as one record_access per page. The packed words are prefetched a
+  /// few samples ahead, since a large footprint misses the cache on most.
+  void record_batch(WorkloadId w, std::span<const PageId> pages) {
+    if (filter_ != kInvalidWorkload && w != filter_) return;
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      if (pages.size() - i > kAhead && pages[i + kAhead] < words_.size())
+        __builtin_prefetch(&words_[pages[i + kAhead]], 1);
+      record(pages[i]);
     }
-    const std::uint64_t word = words_[p];
-    if (!(word & kTrackedBit)) {
-      record_untracked(p);
-      return;
-    }
-    const std::uint32_t eff = effective_of(word);
-    // The bin changes exactly when eff+1 is a power of two (covers eff == 0
-    // entering bin 1, and unsigned wrap at eff == UINT32_MAX).
-    if ((eff & (eff + 1)) != 0) {
-      words_[p] = (word & (kTierMask | kTrackedBit)) | packed_epoch() |
-                  static_cast<std::uint64_t>(eff + 1);
-      return;
-    }
-    record_bin_move(p, word, eff);
   }
 
   /// Current (aged) access count of a page; 0 if never seen.
@@ -191,6 +184,7 @@ class PageHotness : public MigrationListener {
   static constexpr std::uint64_t kTierMask = 7ull << kTierShift;
   static constexpr std::uint64_t kTrackedBit = 1ull << 59;
   static constexpr std::uint32_t kRenormPeriod = 1u << 16;
+  static constexpr std::size_t kAhead = 8;  ///< record_batch prefetch distance, in samples
 
   static int tier_of_word(std::uint64_t word) {
     return static_cast<int>((word >> kTierShift) & 7u);
@@ -245,8 +239,32 @@ class PageHotness : public MigrationListener {
     v.pop_back();
   }
 
-  // Cold paths of record_access: first touch of a page, and a count bump
-  // that crosses a bin boundary.
+  /// One sample. The overwhelmingly common case — tracked page whose count
+  /// stays within its bin — is a single load/store on the packed word; bin
+  /// moves and first-touch tracking take the out-of-line paths.
+  void record(PageId p) {
+    if (p >= words_.size()) {
+      record_untracked(p);
+      return;
+    }
+    const std::uint64_t word = words_[p];
+    if (!(word & kTrackedBit)) {
+      record_untracked(p);
+      return;
+    }
+    const std::uint32_t eff = effective_of(word);
+    // The bin changes exactly when eff+1 is a power of two (covers eff == 0
+    // entering bin 1, and unsigned wrap at eff == UINT32_MAX).
+    if ((eff & (eff + 1)) != 0) {
+      words_[p] = (word & (kTierMask | kTrackedBit)) | packed_epoch() |
+                  static_cast<std::uint64_t>(eff + 1);
+      return;
+    }
+    record_bin_move(p, word, eff);
+  }
+
+  // Cold paths of record(): first touch of a page, and a count bump that
+  // crosses a bin boundary.
   void record_untracked(PageId p);
   void record_bin_move(PageId p, std::uint64_t word, std::uint32_t eff);
 

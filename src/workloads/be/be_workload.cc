@@ -1,6 +1,7 @@
 #include "workloads/be/be_workload.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace mtat {
@@ -71,11 +72,16 @@ void BEWorkload::tick(Duration dt) {
   // fractional carry so low-rate ticks still sample in the long run.
   sample_carry_ += iters * cfg_.profile.accesses_per_iteration /
                    static_cast<double>(cfg_.sample_period);
-  const auto n = static_cast<std::uint64_t>(sample_carry_);
+  auto n = static_cast<std::uint64_t>(sample_carry_);
   sample_carry_ -= static_cast<double>(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t vpage = (*alias_)(rng_);
-    sampler_->on_sampled_access(id_, first_page_ + vpage, AccessKind::kRead);
+  // Drawn and ingested a stack chunk at a time: no per-tenant buffer.
+  PageId batch[kSampleChunk];
+  while (n > 0) {
+    const std::span<PageId> chunk(batch, std::min<std::uint64_t>(n, kSampleChunk));
+    alias_->draw(rng_, chunk);
+    for (PageId& p : chunk) p += first_page_;  // vpage -> page id
+    sampler_->on_samples(id_, chunk, AccessKind::kRead);
+    n -= chunk.size();
   }
 }
 

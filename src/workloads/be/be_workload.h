@@ -60,6 +60,9 @@ struct BEConfig {
 
 class BEWorkload : public MigrationListener {
  public:
+  /// Samples a tick draws and hands to the sampler per call.
+  static constexpr std::size_t kSampleChunk = 256;
+
   /// `sampler` (may be null) receives the sampled access stream.
   /// The workload registers itself as a migration listener on `mem`, so it
   /// must not be moved and must outlive any further use of `mem`'s placement

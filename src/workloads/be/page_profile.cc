@@ -12,7 +12,9 @@ namespace {
 class CountingObserver : public AccessObserver {
  public:
   explicit CountingObserver(std::size_t pages) : counts_(pages, 0) {}
-  void on_sampled_access(WorkloadId, PageId p, AccessKind) override { counts_[p]++; }
+  void on_samples(WorkloadId, std::span<PageId> pages, AccessKind) override {
+    for (const PageId p : pages) counts_[p]++;
+  }
   const std::vector<std::uint64_t>& counts() const { return counts_; }
 
  private:

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,10 +57,11 @@ class TraceRecorder : public AccessObserver {
         first_page_(space.pages().front()),
         footprint_(space.num_pages()) {}
 
-  void on_sampled_access(WorkloadId w, PageId p, AccessKind kind) override {
+  void on_samples(WorkloadId w, std::span<PageId> pages, AccessKind kind) override {
     if (w != workload_) return;
-    if (p < first_page_ || p >= first_page_ + footprint_) return;
-    samples_.push_back(TraceSample{static_cast<std::uint32_t>(p - first_page_), kind});
+    for (const PageId p : pages)
+      if (p >= first_page_ && p < first_page_ + footprint_)
+        samples_.push_back(TraceSample{static_cast<std::uint32_t>(p - first_page_), kind});
   }
 
   /// The captured samples (moved out; the recorder resets).

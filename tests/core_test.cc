@@ -284,8 +284,8 @@ PartitionPolicyMaker::Options ppm_opt(bool guard = true) {
 
 IntervalCounters counters(std::uint64_t fmem, std::uint64_t smem) {
   IntervalCounters c;
-  c.fmem_accesses = fmem;
-  c.smem_accesses = smem;
+  c.tier_accesses[kFastestTier] = fmem;
+  c.tier_accesses[kFastestTier + 1] = smem;
   c.reads = fmem + smem;
   return c;
 }

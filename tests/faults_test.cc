@@ -240,7 +240,7 @@ TEST(FaultSamplerTest, CorruptionMisattributesWithinTheWorkload) {
   for (int i = 0; i < 64; ++i) sampler.on_sampled_access(0, fmem_page, AccessKind::kRead);
   const IntervalCounters c = sampler.collect(0);
   EXPECT_EQ(c.total(), 64u);       // corrupted samples still count...
-  EXPECT_GT(c.smem_accesses, 0u);  // ...but against the wrong pages/tiers
+  EXPECT_GT(c.smem_accesses(), 0u);  // ...but against the wrong pages/tiers
   EXPECT_DOUBLE_EQ(counter_value(ctx, obs::names::kFaultSamplesCorrupted), 64.0);
 }
 

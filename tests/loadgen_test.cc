@@ -126,7 +126,7 @@ TEST_P(QueueUtilizationSweep, MeanSojournWithinTheoryBand) {
   q.run_until(seconds(40));
   const auto& windows = q.recorder().windows();
   ASSERT_FALSE(windows.empty());
-  const double mean = windows[0].mean();
+  const double mean = windows[0].mean;
   const double mm1 = s / (1.0 - u);
   const double md1 = s * (1.0 + u / (2.0 * (1.0 - u)));
   EXPECT_GT(mean, md1 * 0.8) << "u=" << u;
@@ -171,7 +171,7 @@ TEST(QueueSim, MultiServerOutpacesSingleServer) {
   q8.set_pattern(&pat, 0);
   q1.run_until(seconds(10));
   q8.run_until(seconds(10));
-  EXPECT_LT(q8.recorder().windows()[5].mean(), q1.recorder().windows()[5].mean());
+  EXPECT_LT(q8.recorder().windows()[5].mean, q1.recorder().windows()[5].mean);
 }
 
 TEST(QueueSim, IntervalCompletionCounter) {

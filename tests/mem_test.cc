@@ -292,8 +292,8 @@ class CountingObserver : public AccessObserver {
  public:
   int count = 0;
   WorkloadId last_w = kInvalidWorkload;
-  void on_sampled_access(WorkloadId w, PageId, AccessKind) override {
-    ++count;
+  void on_samples(WorkloadId w, std::span<PageId> pages, AccessKind) override {
+    count += static_cast<int>(pages.size());
     last_w = w;
   }
 };

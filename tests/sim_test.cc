@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "sim/colocation_sim.h"
 #include "sim/experiments.h"
@@ -109,6 +114,26 @@ TEST(ColocationSim, UnmeasuredRunRecordsNothing) {
   const LoadPattern pat = LoadPattern::constant(1000.0);
   sim.run(pat, seconds(3), /*measure=*/false);
   EXPECT_TRUE(sim.result().series.empty());
+}
+
+// A long run keeps the heap flat: the LC latency recorder holds a histogram
+// (15 KiB) for its open window only, not one per simulated second.
+TEST(ColocationSim, HeapStaysFlatOverALongRun) {
+#if defined(__GLIBC__)
+  SimConfig cfg = tiny_config(PolicyKind::kMemtis, 1);
+  obs::RunContext ctx(obs::RunContext::TraceMode::kPrivate);
+  ColocationSim sim(cfg, &ctx);
+  const LoadPattern pat = LoadPattern::constant(cfg.lc.max_load_krps * 1000.0 * 0.2);
+  // Warm up until the hotness bins and policy scratch reach their sizes.
+  sim.run(pat, seconds(60), /*measure=*/false);
+  const auto before = static_cast<std::int64_t>(mallinfo2().uordblks);
+  sim.run(pat, seconds(100), /*measure=*/false);
+  const auto growth = static_cast<std::int64_t>(mallinfo2().uordblks) - before;
+  // 100 per-second histograms would be ~1.5 MiB.
+  EXPECT_LT(growth, 128 * 1024);
+#else
+  GTEST_SKIP() << "heap accounting needs glibc's mallinfo2";
+#endif
 }
 
 TEST(ColocationSim, MtatSharedAgentPersistsLearning) {

@@ -183,8 +183,8 @@ TEST(AccessSampler, ClassifiesByTier) {
   sampler.on_sampled_access(0, p[0], AccessKind::kRead);
   sampler.on_sampled_access(0, p[1], AccessKind::kWrite);
   const auto c = sampler.peek(0);
-  EXPECT_EQ(c.fmem_accesses, 1u);
-  EXPECT_EQ(c.smem_accesses, 1u);
+  EXPECT_EQ(c.fmem_accesses(), 1u);
+  EXPECT_EQ(c.smem_accesses(), 1u);
   EXPECT_EQ(c.reads, 1u);
   EXPECT_EQ(c.writes, 1u);
   EXPECT_DOUBLE_EQ(c.fmem_access_ratio(), 0.5);

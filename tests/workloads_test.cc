@@ -274,7 +274,7 @@ TEST(BEWorkload, EmitsSampledTelemetry) {
   const double expected =
       be.total_iterations() * cfg.profile.accesses_per_iteration / 512.0;
   EXPECT_NEAR(static_cast<double>(c.total()), expected, expected * 0.05 + 2);
-  EXPECT_EQ(c.fmem_accesses, 0u);  // everything lives in SMem here
+  EXPECT_EQ(c.fmem_accesses(), 0u);  // everything lives in SMem here
 }
 
 TEST(BEWorkload, MigrationChurnCostsThroughput) {
