@@ -23,7 +23,7 @@ int main() {
     BEWorkload be(mem, id++, cfg, kTierOnly(kFastestTier + 1), nullptr, 1);
     const double rss_gib = static_cast<double>(cfg.rss) / (1024.0 * 1024.0 * 1024.0);
     // Concentration: share of accesses captured by the hottest 10% of pages.
-    const auto prefix = cfg.profile.best_placement_prefix();
+    const std::vector<double>& prefix = cfg.profile.tables->best_prefix;
     const double hot10 = prefix[prefix.size() / 10];
     const double np0 = be.rate_at_pages(0) / be.perf_full();
     std::printf("%-9s %9.3f %12.2f %5.1f %12.1f%% %12.3f  %s\n", cfg.name.c_str(), rss_gib,

@@ -50,7 +50,7 @@ int main() {
   cfg.rss = pages_to_bytes(trace.footprint_pages);
   cfg.cpu_ns_per_iter = 50.0;
   cfg.cores = 4;
-  cfg.profile = profile_from_trace(trace, /*accesses_per_iteration=*/20.0);
+  cfg.profile = BEProfile::of(profile_from_trace(trace, /*accesses_per_iteration=*/20.0));
 
   const TieredMemory::Config mc = TieredMemory::Config::two_tier(
       trace.footprint_pages / 4,  // room for a quarter of it

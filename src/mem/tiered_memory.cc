@@ -75,6 +75,16 @@ void TieredMemory::place(PageId p, TierId t) {
   pi.tier = t;
   migrations_++;
   for (MigrationListener* l : listeners_) l->on_migration(p, from, t);
+  for (MigrationListener* l : wl.listeners) l->on_migration(p, from, t);
+}
+
+void TieredMemory::add_migration_listener(MigrationListener* l, WorkloadId owner) {
+  if (owner == kInvalidWorkload) {
+    listeners_.push_back(l);
+    return;
+  }
+  ensure_workload(owner);
+  per_workload_[owner].listeners.push_back(l);
 }
 
 bool TieredMemory::migrate(PageId p, TierId to) {

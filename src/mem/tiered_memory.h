@@ -38,8 +38,10 @@ struct TierSpec {
 };
 
 /// Observer of page placement changes (migrate/exchange). Implementations
-/// register with TieredMemory::add_migration_listener and are invoked after
-/// every placement change; they must outlive any further migrations.
+/// register with TieredMemory::add_migration_listener, for every page or for
+/// one workload's pages, and are invoked after each such change; they must
+/// outlive any further migrations. A listener updates only its own state, so
+/// the order in which different listeners hear about a move is immaterial.
 ///
 /// This used to be a std::function<void(PageId, TierId, TierId)>: hotness
 /// telemetry keeps its cached per-page tier field in sync through this hook,
@@ -139,16 +141,16 @@ class TieredMemory {
   std::uint64_t used(TierId t) const { return used_[t]; }
   std::uint64_t free_pages(TierId t) const { return capacity(t) - used(t); }
 
+  // Per-workload queries. An id that has never allocated owns nothing: its
+  // page list is empty and its counts are 0.
+
   /// Number of pages workload `w` currently has resident in tier `t`.
   std::uint64_t workload_pages(WorkloadId w, TierId t) const {
-    return per_workload_[w].in_tier[t];
+    return w < per_workload_.size() ? per_workload_[w].in_tier[t] : 0;
   }
   /// Total pages allocated to workload `w` (its simulated RSS).
   std::uint64_t workload_total(WorkloadId w) const {
-    const auto& in_tier = per_workload_[w].in_tier;
-    std::uint64_t total = 0;
-    for (std::size_t t = 0; t < cfg_.tiers.size(); ++t) total += in_tier[t];
-    return total;
+    return w < per_workload_.size() ? per_workload_[w].pages.size() : 0;
   }
   /// Fraction of workload `w`'s pages resident in the fastest tier — the
   /// paper's "FMem Usage Ratio" state component and the Figure 2/5 residency
@@ -161,10 +163,12 @@ class TieredMemory {
   }
 
   /// All pages owned by workload `w`, in allocation order.
-  const std::vector<PageId>& pages_of(WorkloadId w) const { return per_workload_[w].pages; }
+  const std::vector<PageId>& pages_of(WorkloadId w) const {
+    static const std::vector<PageId> kNone;
+    return w < per_workload_.size() ? per_workload_[w].pages : kNone;
+  }
 
   std::uint64_t page_count() const { return info_.size(); }
-  std::uint16_t workload_count() const { return static_cast<std::uint16_t>(per_workload_.size()); }
   const Config& config() const { return cfg_; }
 
   // --- Placement primitives ---------------------------------------------------
@@ -186,11 +190,13 @@ class TieredMemory {
   std::uint64_t total_migrations() const { return migrations_; }
   Bytes bytes_migrated() const { return migrations_ * kPageSize; }
 
-  /// Registers `l` to observe every subsequent placement change. The
-  /// listener is borrowed, not owned: it must stay alive for as long as
-  /// pages can still migrate (telemetry/ and workload models register
-  /// themselves for their own lifetime).
-  void add_migration_listener(MigrationListener* l) { listeners_.push_back(l); }
+  /// Registers `l` to observe subsequent placement changes: of every page
+  /// when `owner` is kInvalidWorkload, else only of pages `owner` owns. A
+  /// move calls the all-pages listeners, then the owner's, each in
+  /// registration order. The listener is borrowed, not owned: it must stay
+  /// alive for as long as pages can still migrate (telemetry/ and workload
+  /// models register themselves for their own lifetime).
+  void add_migration_listener(MigrationListener* l, WorkloadId owner = kInvalidWorkload);
 
  private:
   struct PageInfo {
@@ -200,6 +206,7 @@ class TieredMemory {
   struct WorkloadPages {
     std::vector<PageId> pages;
     std::array<std::uint64_t, kMaxTiers> in_tier{};
+    std::vector<MigrationListener*> listeners;  ///< owner-dispatched listeners
   };
 
   PageId check(PageId p) const {
@@ -217,7 +224,7 @@ class TieredMemory {
   Config cfg_;
   std::vector<PageInfo> info_;
   std::vector<WorkloadPages> per_workload_;
-  std::vector<MigrationListener*> listeners_;
+  std::vector<MigrationListener*> listeners_;  ///< all-pages listeners
   std::vector<std::uint64_t> used_;
   std::vector<double> contention_;
   std::uint64_t migrations_ = 0;

@@ -234,6 +234,7 @@ class ColocationSim {
   std::size_t be_count() const { return be_.size(); }
   TieredMemory& mem() { return *mem_; }
   MigrationEngine& engine() { return *engine_; }
+  AccessSampler& sampler() { return *sampler_; }
   TieringPolicy& policy() { return *policy_; }
   const SimConfig& config() const { return cfg_; }
   SimTime now() const { return now_; }

@@ -1,23 +1,36 @@
 #include "telemetry/page_hotness.h"
 
+#include <stdexcept>
+
 namespace mtat {
 
 PageHotness::PageHotness(TieredMemory& mem, WorkloadId workload_filter)
     : mem_(&mem), filter_(workload_filter), tiers_(mem.tier_count()) {
-  mem.add_migration_listener(this);
+  // A filtered histogram records only its workload's samples, and a workload
+  // samples only pages it owns, so it only needs to hear about their moves.
+  mem.add_migration_listener(this, workload_filter);
 }
 
 void PageHotness::seed_allocated_pages() {
+  // Size the arrays once for the highest page seeded (pages_of lists a
+  // workload's pages in allocation order, so ascending).
+  const std::vector<PageId>* owned =
+      filter_ != kInvalidWorkload ? &mem_->pages_of(filter_) : nullptr;
+  const std::size_t end = owned != nullptr ? (owned->empty() ? 0 : owned->back() + std::size_t{1})
+                                           : mem_->page_count();
+  if (end > words_.size()) {
+    words_.resize(end, 0);
+    pos_.resize(end, 0);
+  }
   const auto seed_one = [this](PageId p) {
-    ensure(p);
     if (words_[p] & kTrackedBit) return;
     const int tier = static_cast<int>(mem_->tier_of(p));
     words_[p] = kTrackedBit | packed_tier(tier) | packed_epoch();
     push(p, tier, 0);
     ++tracked_;
   };
-  if (filter_ != kInvalidWorkload) {
-    for (PageId p : mem_->pages_of(filter_)) seed_one(p);
+  if (owned != nullptr) {
+    for (PageId p : *owned) seed_one(p);
   } else {
     for (PageId p = 0; p < mem_->page_count(); ++p) seed_one(p);
   }
@@ -27,6 +40,11 @@ void PageHotness::record_untracked(PageId p) {
   // tier_of also validates p (throws on a never-allocated id), so ask before
   // growing the arrays.
   const int tier = static_cast<int>(mem_->tier_of(p));
+  // A filtered histogram hears only about its workload's page moves, so a
+  // page it tracks must be one of them. Tracked pages stay tracked, so
+  // checking on first touch covers every sample.
+  if (filter_ != kInvalidWorkload && mem_->owner_of(p) != filter_)
+    throw std::logic_error("PageHotness: a workload sampled a page it does not own");
   ensure(p);
   words_[p] = kTrackedBit | packed_tier(tier) | packed_epoch() | 1u;
   push(p, tier, bin_of(1));
@@ -93,13 +111,7 @@ void PageHotness::scan(TierId tier, std::size_t max_n, bool from_hot,
                        std::vector<PageId>& out) const {
   if (max_n == 0) return;
   const int t = static_cast<int>(tier);
-  const auto collect = [&](int b) {
-    for (PageId p : bin_ref(t, b)) {
-      out.push_back(p);
-      if (out.size() == max_n) return true;
-    }
-    return false;
-  };
+  const auto collect = [&](int b) { return pull(bin_ref(t, b), max_n, out); };
   // Hottest scans exclude bin 0 (effective count zero is not hot); coldest
   // scans start there — seeded/aged-out pages are the first candidates.
   if (from_hot) {
@@ -155,27 +167,17 @@ PageId PageHotness::coldest_slow_page() const {
 void PageHotness::hottest_in_slower(std::size_t max_n, std::vector<PageId>& out) const {
   out.clear();
   if (max_n == 0) return;
-  for (int b = kBins - 1; b >= 1; --b) {
-    for (std::size_t t = 1; t < tiers_.size(); ++t) {
-      for (PageId p : bin_ref(static_cast<int>(t), b)) {
-        out.push_back(p);
-        if (out.size() == max_n) return;
-      }
-    }
-  }
+  for (int b = kBins - 1; b >= 1; --b)
+    for (std::size_t t = 1; t < tiers_.size(); ++t)
+      if (pull(bin_ref(static_cast<int>(t), b), max_n, out)) return;
 }
 
 void PageHotness::coldest_in_slower(std::size_t max_n, std::vector<PageId>& out) const {
   out.clear();
   if (max_n == 0) return;
-  for (int b = 0; b < kBins; ++b) {
-    for (std::size_t t = 1; t < tiers_.size(); ++t) {
-      for (PageId p : bin_ref(static_cast<int>(t), b)) {
-        out.push_back(p);
-        if (out.size() == max_n) return;
-      }
-    }
-  }
+  for (int b = 0; b < kBins; ++b)
+    for (std::size_t t = 1; t < tiers_.size(); ++t)
+      if (pull(bin_ref(static_cast<int>(t), b), max_n, out)) return;
 }
 
 std::uint64_t PageHotness::pages_at_or_above(TierId tier, int b) const {

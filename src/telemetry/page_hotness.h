@@ -31,7 +31,9 @@
 // stored epoch unambiguous.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,8 +52,10 @@ class PageHotness : public MigrationListener {
   /// MTAT's PP-E); with kInvalidWorkload it records everything (the unified
   /// global histogram a MEMTIS-like policy uses).
   ///
-  /// Registers a migration listener on `mem`: the histogram must outlive any
-  /// further page migrations and must not be moved.
+  /// Registers a migration listener on `mem` — for the filtered workload's
+  /// pages only, when filtered, so the filtered workload's samples must be of
+  /// pages it owns (every workload model's are). The histogram must outlive
+  /// any further page migrations and must not be moved.
   explicit PageHotness(TieredMemory& mem, WorkloadId workload_filter = kInvalidWorkload);
 
   PageHotness(const PageHotness&) = delete;
@@ -267,6 +271,14 @@ class PageHotness : public MigrationListener {
   // crosses a bin boundary.
   void record_untracked(PageId p);
   void record_bin_move(PageId p, std::uint64_t word, std::uint32_t eff);
+
+  /// Appends the first min(max_n - out.size(), bin.size()) pages of `bin` to
+  /// `out`, in bin order, as one copy. True once `out` holds `max_n` pages.
+  static bool pull(const std::vector<PageId>& bin, std::size_t max_n, std::vector<PageId>& out) {
+    const std::size_t take = std::min(max_n - out.size(), bin.size());
+    out.insert(out.end(), bin.begin(), bin.begin() + static_cast<std::ptrdiff_t>(take));
+    return out.size() == max_n;
+  }
 
   void on_migration(PageId p, TierId from, TierId to) override;
   void renormalize();

@@ -1,10 +1,9 @@
 #include "workloads/be/be_suite.h"
 
-#include <map>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
 
-#include "common/thread_annotations.h"
+#include "common/memo.h"
 #include "workloads/graph/graph_layout.h"
 #include "workloads/graph/kernels.h"
 #include "workloads/xsbench/xsbench.h"
@@ -12,47 +11,20 @@
 namespace mtat {
 namespace {
 
-/// Profile extraction runs the real kernel, which is the expensive part of
-/// building a BE config — memoize per (workload, scale) for the process. The
-/// cache is shared across threads (parallel runner workers build sims
-/// concurrently). build() runs under the lock: first-touch extraction is
-/// serialized (the extraction kernels are deterministic but heavy, and
-/// running two builds of the same key concurrently would waste the work),
-/// every later lookup is a cheap map find. std::map node references are
-/// stable across inserts, so handing the reference out after unlocking is
-/// safe. Note build() must never re-enter the cache: mu_ is not recursive,
-/// and the profile builders below only run kernels.
-class BEProfileCache {
- public:
-  const PageProfile& get(const std::string& key, const std::function<PageProfile()>& build)
-      EXCLUDES(mu_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it == cache_.end()) it = cache_.emplace(key, build()).first;
-    return it->second;
-  }
-
- private:
-  std::mutex mu_;
-  std::map<std::string, PageProfile> cache_ GUARDED_BY(mu_);
-};
-
-const PageProfile& memoized(const std::string& key,
-                            const std::function<PageProfile()>& build) {
-  // Ownership: the one process-global profile memo. Guarded by its internal
-  // mutex, append-only, and keyed purely by (workload, scale) — cached
-  // values are deterministic functions of the key, so sharing it across
-  // threads cannot fork results.
-  static BEProfileCache cache;  // mtat-lint: allow(shared-mutable)
-  return cache.get(key, build);
-}
-
 int graph_scale(BEScale s) { return s == BEScale::kTest ? 10 : 17; }
 
-PageProfile graph_profile(const std::string& name, BEScale scale,
-                          const std::function<KernelStats(GraphLayout&)>& run,
-                          bool rmat) {
-  return memoized(name + (scale == BEScale::kTest ? "/test" : "/default"), [&] {
+/// Profile extraction runs the real kernel, which is the expensive part of
+/// building a BE config, so raw profiles are memoized per (workload, scale)
+/// under `key`; make() memoizes each stretched footprint's tables beside them.
+struct RawProfile {
+  std::string key;
+  std::shared_ptr<const PageProfile> profile;
+};
+
+RawProfile graph_profile(const std::string& name, BEScale scale,
+                         const std::function<KernelStats(GraphLayout&)>& run, bool rmat) {
+  std::string key = name + (scale == BEScale::kTest ? "/test" : "/default");
+  auto profile = memoized<PageProfile>(key, [&] {
     Rng rng(name == "sssp" ? 11 : name == "bfs" ? 22 : 33);
     const int sc = graph_scale(scale);
     const Graph g = rmat ? make_rmat_graph(sc, 16, rng)
@@ -64,10 +36,12 @@ PageProfile graph_profile(const std::string& name, BEScale scale,
     });
     return prof;
   });
+  return {std::move(key), std::move(profile)};
 }
 
-PageProfile xsbench_profile(BEScale scale) {
-  return memoized(scale == BEScale::kTest ? "xsbench/test" : "xsbench/default", [&] {
+RawProfile xsbench_profile(BEScale scale) {
+  std::string key = scale == BEScale::kTest ? "xsbench/test" : "xsbench/default";
+  auto profile = memoized<PageProfile>(key, [&] {
     XSBenchKernel::Config xc;
     if (scale == BEScale::kTest) {
       xc.n_gridpoints = 1024;
@@ -85,9 +59,10 @@ PageProfile xsbench_profile(BEScale scale) {
       return lookups;
     });
   });
+  return {std::move(key), std::move(profile)};
 }
 
-BEConfig make(std::string name, std::string description, const PageProfile& raw, Bytes rss,
+BEConfig make(std::string name, std::string description, const RawProfile& raw, Bytes rss,
               double cpu_ns_per_iter, int cores, double mlp) {
   BEConfig c;
   c.name = std::move(name);
@@ -96,14 +71,16 @@ BEConfig make(std::string name, std::string description, const PageProfile& raw,
   c.cpu_ns_per_iter = cpu_ns_per_iter;
   c.cores = cores;
   c.mlp = mlp;
-  c.profile = raw.stretched_to(bytes_to_pages(rss));
+  const std::uint64_t pages = bytes_to_pages(rss);
+  c.profile = *memoized<BEProfile>(raw.key + "@" + std::to_string(pages),
+                                   [&] { return BEProfile::of(raw.profile->stretched_to(pages)); });
   return c;
 }
 
 }  // namespace
 
 BEConfig sssp_config(BEScale scale, Bytes rss, int cores) {
-  const auto& prof = graph_profile(
+  const RawProfile prof = graph_profile(
       "sssp", scale,
       [](GraphLayout& l) {
         std::vector<std::uint64_t> dist;
@@ -115,7 +92,7 @@ BEConfig sssp_config(BEScale scale, Bytes rss, int cores) {
 }
 
 BEConfig bfs_config(BEScale scale, Bytes rss, int cores) {
-  const auto& prof = graph_profile(
+  const RawProfile prof = graph_profile(
       "bfs", scale,
       [](GraphLayout& l) {
         std::vector<std::uint64_t> dist;
@@ -127,7 +104,7 @@ BEConfig bfs_config(BEScale scale, Bytes rss, int cores) {
 }
 
 BEConfig pr_config(BEScale scale, Bytes rss, int cores) {
-  const auto& prof = graph_profile(
+  const RawProfile prof = graph_profile(
       "pr", scale,
       [](GraphLayout& l) {
         std::vector<double> rank;

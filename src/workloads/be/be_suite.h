@@ -5,7 +5,8 @@
 // its page-access profile, stretch the profile to the experiment-scale RSS,
 // and package it with the calibrated per-iteration CPU cost. Profiles are
 // memoized per process — extraction runs each kernel once, not once per
-// experiment configuration.
+// experiment configuration — and so are the tables of each stretched
+// footprint (BEProfile::Tables), which every config of that footprint shares.
 #pragma once
 
 #include <string>

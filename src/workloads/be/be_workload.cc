@@ -6,6 +6,9 @@
 
 namespace mtat {
 
+BEProfile::Tables::Tables(const PageProfile& stretched)
+    : weight(stretched.weight), alias(weight), best_prefix(stretched.best_placement_prefix()) {}
+
 BEWorkload::BEWorkload(TieredMemory& mem, WorkloadId id, BEConfig cfg, AllocPolicy alloc,
                        AccessObserver* sampler, std::uint64_t seed)
     : mem_(&mem), id_(id), cfg_(std::move(cfg)), sampler_(sampler), rng_(seed) {
@@ -15,8 +18,6 @@ BEWorkload::BEWorkload(TieredMemory& mem, WorkloadId id, BEConfig cfg, AllocPoli
   if (cfg_.cpu_ns_per_iter <= 0 || cfg_.cores <= 0 || cfg_.mlp <= 0)
     throw std::invalid_argument("BEWorkload: bad cpu/core/mlp config");
   space_ = std::make_unique<AddressSpace>(mem, id, cfg_.rss, alloc, cfg_.sample_period);
-  alias_ = std::make_unique<AliasSampler>(cfg_.profile.weight);
-  best_prefix_ = cfg_.profile.best_placement_prefix();
 
   // Pages are allocated in one contiguous id run (the allocator appends), so
   // PageId -> vpage is a subtraction; assert that assumption holds.
@@ -25,16 +26,18 @@ BEWorkload::BEWorkload(TieredMemory& mem, WorkloadId id, BEConfig cfg, AllocPoli
   for (std::size_t i = 0; i < pages.size(); ++i)
     if (pages[i] != first_page_ + i)
       throw std::logic_error("BEWorkload: non-contiguous page allocation");
+  // on_migration hears about every page `id` owns, and maps each into the run.
+  if (mem.workload_total(id) != pages.size())
+    throw std::invalid_argument("BEWorkload: workload id owns other pages");
 
-  for (std::size_t i = 0; i < pages.size(); ++i)
-    tier_weight_[mem.tier_of(pages[i])] += cfg_.profile.weight[i];
+  const std::vector<double>& weight = cfg_.profile.tables->weight;
+  for (std::size_t i = 0; i < pages.size(); ++i) tier_weight_[mem.tier_of(pages[i])] += weight[i];
 
-  mem.add_migration_listener(this);
+  mem.add_migration_listener(this, id);
 }
 
 void BEWorkload::on_migration(PageId p, TierId from, TierId to) {
-  if (p < first_page_ || p >= first_page_ + space_->num_pages()) return;
-  const double w = cfg_.profile.weight[p - first_page_];
+  const double w = cfg_.profile.tables->weight[p - first_page_];
   tier_weight_[from] -= w;
   tier_weight_[to] += w;
   ++migrations_pending_;
@@ -78,7 +81,7 @@ void BEWorkload::tick(Duration dt) {
   PageId batch[kSampleChunk];
   while (n > 0) {
     const std::span<PageId> chunk(batch, std::min<std::uint64_t>(n, kSampleChunk));
-    alias_->draw(rng_, chunk);
+    cfg_.profile.tables->alias.draw(rng_, chunk);
     for (PageId& p : chunk) p += first_page_;  // vpage -> page id
     sampler_->on_samples(id_, chunk, AccessKind::kRead);
     n -= chunk.size();

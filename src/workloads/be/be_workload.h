@@ -37,6 +37,33 @@ inline double slowest_share(const TierValues& w, std::size_t n) {
   return 1.0 - placed;
 }
 
+/// A BE tenant's access model in the form its tick runs it: the misses per
+/// unit of work, and the tables derived from its stretched page profile.
+/// Copies share the tables, which are immutable.
+struct BEProfile {
+  /// Everything derived from a stretched profile's weights. A pure function
+  /// of them, so one build serves every tenant on every node that runs the
+  /// profile (be_suite.cc memoizes it per workload, scale and footprint).
+  struct Tables {
+    explicit Tables(const PageProfile& stretched);
+    std::vector<double> weight;       ///< per-virtual-page access probability
+    AliasSampler alias;               ///< draws virtual pages by weight
+    std::vector<double> best_prefix;  ///< PageProfile::best_placement_prefix()
+  };
+
+  /// The one builder: derives the tables of `stretched`. Configs made
+  /// outside be_suite.cc (tests, traces) use it directly.
+  static BEProfile of(const PageProfile& stretched) {
+    return {stretched.accesses_per_iteration, std::make_shared<const Tables>(stretched)};
+  }
+
+  /// Modelled misses per unit of work (PageProfile::accesses_per_iteration).
+  double accesses_per_iteration = 0.0;
+  std::shared_ptr<const Tables> tables;
+
+  std::uint64_t num_pages() const { return tables == nullptr ? 0 : tables->weight.size(); }
+};
+
 struct BEConfig {
   std::string name;
   std::string description;    ///< Table 2 text
@@ -54,7 +81,7 @@ struct BEConfig {
   /// stall on the access path). Charged against the tick's compute time, so
   /// perpetual churn — TPP's watermark/refill cycle — costs real throughput.
   Duration migration_stall = 3000;  // ns per migrated page
-  PageProfile profile;        ///< stretched to bytes_to_pages(rss) pages
+  BEProfile profile;          ///< stretched to bytes_to_pages(rss) pages
   std::uint64_t sample_period = 1024;  ///< PEBS-like sampling divisor
 };
 
@@ -64,9 +91,9 @@ class BEWorkload : public MigrationListener {
   static constexpr std::size_t kSampleChunk = 256;
 
   /// `sampler` (may be null) receives the sampled access stream.
-  /// The workload registers itself as a migration listener on `mem`, so it
-  /// must not be moved and must outlive any further use of `mem`'s placement
-  /// primitives.
+  /// The workload registers itself as a migration listener for its own pages
+  /// on `mem`, so it must not be moved and must outlive any further use of
+  /// `mem`'s placement primitives. `id` must own no other pages of `mem`.
   BEWorkload(TieredMemory& mem, WorkloadId id, BEConfig cfg, AllocPolicy alloc,
              AccessObserver* sampler, std::uint64_t seed);
 
@@ -92,7 +119,8 @@ class BEWorkload : public MigrationListener {
   /// Fraction of the access distribution covered by the `fmem_pages` hottest
   /// pages (the ideal-placement hit curve).
   double hit_fraction_at_pages(std::uint64_t fmem_pages) const {
-    return best_prefix_[std::min<std::uint64_t>(fmem_pages, space_->num_pages())];
+    return cfg_.profile.tables->best_prefix[std::min<std::uint64_t>(fmem_pages,
+                                                                   space_->num_pages())];
   }
 
   /// Work rate with access split `w` (remainder form) over `n` tiers at
@@ -135,7 +163,8 @@ class BEWorkload : public MigrationListener {
  private:
   /// rate_under at every tier's live (contended) latency.
   double live_rate(const TierValues& w) const;
-  /// Maintains the incremental per-tier resident weight sums (MigrationListener).
+  /// Maintains the incremental per-tier resident weight sums. Registered for
+  /// this workload's pages only, so `p` is always one of them.
   void on_migration(PageId p, TierId from, TierId to) override;
 
   TieredMemory* mem_;
@@ -144,8 +173,6 @@ class BEWorkload : public MigrationListener {
   std::unique_ptr<AddressSpace> space_;
   AccessObserver* sampler_;
   Rng rng_;
-  std::unique_ptr<AliasSampler> alias_;
-  std::vector<double> best_prefix_;
   PageId first_page_ = 0;
   /// tier_weight_[t] = summed access probability of this workload's pages
   /// currently resident in tier t (so the entries sum to ~1).

@@ -1,6 +1,9 @@
 #include "workloads/kv/hash_store.h"
 
 #include <stdexcept>
+#include <utility>
+
+#include "common/memo.h"
 
 namespace mtat {
 namespace {
@@ -19,6 +22,30 @@ std::uint64_t buckets_for(const HashStore::Config& cfg) {
   return static_cast<std::uint64_t>(static_cast<double>(cfg.n_records) / cfg.fill_factor) + 1;
 }
 
+std::uint64_t bucket_of(std::uint64_t key, std::uint64_t n_buckets) {
+  return mix64(key) % n_buckets;
+}
+
+/// Real insertion with linear probing, so probe-sequence lengths are genuine.
+/// Nothing is ever deleted, so a later lookup of a key walks exactly the
+/// buckets its insertion walked: the mean probe count falls out of the build.
+HashStore::Table build_table(std::uint64_t n_records, std::uint64_t n_buckets) {
+  HashStore::Table t;
+  t.slots.assign(n_buckets, HashStore::kEmpty);
+  std::uint64_t probes = 0;
+  for (std::uint64_t key = 0; key < n_records; ++key) {
+    std::uint64_t b = bucket_of(key, n_buckets);
+    ++probes;
+    while (t.slots[b] != HashStore::kEmpty) {
+      b = (b + 1) % n_buckets;
+      ++probes;
+    }
+    t.slots[b] = key;
+  }
+  t.mean_probes = static_cast<double>(probes) / static_cast<double>(n_records);
+  return t;
+}
+
 }  // namespace
 
 Bytes HashStore::required_bytes(const Config& cfg) {
@@ -31,27 +58,19 @@ HashStore::HashStore(AddressSpace& space, const Config& cfg) : space_(&space), c
     throw std::invalid_argument("HashStore: fill_factor in (0,1)");
   if (space.size() < required_bytes(cfg))
     throw std::invalid_argument("HashStore: address space too small");
-  slots_.assign(buckets_for(cfg), kEmpty);
-  records_base_ = slots_.size() * kBucketBytes;
-  // Real insertion with linear probing, so probe-sequence lengths are genuine.
-  for (std::uint64_t key = 0; key < cfg.n_records; ++key) {
-    std::uint64_t b = bucket_of(key);
-    while (slots_[b] != kEmpty) b = (b + 1) % slots_.size();
-    slots_[b] = key;
-  }
-}
-
-std::uint64_t HashStore::bucket_of(std::uint64_t key) const {
-  return mix64(key) % slots_.size();
+  const std::pair<std::uint64_t, std::uint64_t> shape{cfg.n_records, buckets_for(cfg)};
+  table_ = memoized<Table>(shape, [&] { return build_table(shape.first, shape.second); });
+  records_base_ = table_->slots.size() * kBucketBytes;
 }
 
 std::uint64_t HashStore::probe(std::uint64_t key, Duration& lat) {
-  std::uint64_t b = bucket_of(key);
+  const std::vector<std::uint64_t>& slots = table_->slots;
+  std::uint64_t b = bucket_of(key, slots.size());
   while (true) {
     lat += space_->access_page_n(b * kBucketBytes / kPageSize, cfg_.probe_misses);
-    if (slots_[b] == key) return b;
-    if (slots_[b] == kEmpty) throw std::logic_error("HashStore: key not present");
-    b = (b + 1) % slots_.size();
+    if (slots[b] == key) return b;
+    if (slots[b] == kEmpty) throw std::logic_error("HashStore: key not present");
+    b = (b + 1) % slots.size();
   }
 }
 
@@ -85,20 +104,6 @@ Duration HashStore::put(std::uint64_t key) {
   probe(key, lat);
   lat += touch_record(key, AccessKind::kWrite);
   return lat;
-}
-
-double HashStore::mean_probes() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t key = 0; key < cfg_.n_records; ++key) {
-    std::uint64_t b = bucket_of(key);
-    std::uint64_t probes = 1;
-    while (slots_[b] != key) {
-      b = (b + 1) % slots_.size();
-      ++probes;
-    }
-    total += probes;
-  }
-  return static_cast<double>(total) / static_cast<double>(cfg_.n_records);
 }
 
 }  // namespace mtat

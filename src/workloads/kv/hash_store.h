@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,8 +38,18 @@ class HashStore {
   /// Space the store needs inside an AddressSpace, for sizing the allocation.
   static Bytes required_bytes(const Config& cfg);
 
-  /// Builds the table and inserts keys 0..n_records-1. The space must be at
-  /// least required_bytes() large.
+  /// The host-side table: which key each bucket holds after inserting keys
+  /// 0..n_records-1, and the mean probe count over them. A pure function of
+  /// (n_records, bucket count), so it is built once per process per pair and
+  /// shared read-only by every store of that shape (common/memo.h).
+  struct Table {
+    std::vector<std::uint64_t> slots;  ///< key per bucket, kEmpty if none
+    double mean_probes = 0.0;
+  };
+
+  /// Lays the store over `space` and takes the table of its shape (building
+  /// it on first use in the process). The space must be at least
+  /// required_bytes() large.
   HashStore(AddressSpace& space, const Config& cfg);
 
   /// Point lookup: probes buckets, reads the record. Returns charged latency.
@@ -49,12 +60,11 @@ class HashStore {
   Duration put(std::uint64_t key);
 
   const Config& config() const { return cfg_; }
-  std::uint64_t n_buckets() const { return slots_.size(); }
-  /// Mean probes over all inserted keys — exposed for tests of table health.
-  double mean_probes() const;
+  std::uint64_t n_buckets() const { return table_->slots.size(); }
+  /// Mean probes over all inserted keys: LC calibration's fixed miss count.
+  double mean_probes() const { return table_->mean_probes; }
 
  private:
-  std::uint64_t bucket_of(std::uint64_t key) const;
   /// Walk the probe sequence for `key`, charging bucket accesses; returns the
   /// slot index holding the key.
   std::uint64_t probe(std::uint64_t key, Duration& lat);
@@ -62,7 +72,7 @@ class HashStore {
 
   AddressSpace* space_;
   Config cfg_;
-  std::vector<std::uint64_t> slots_;  // host-side table contents (key per slot)
+  std::shared_ptr<const Table> table_;
   Bytes records_base_;
 };
 

@@ -11,7 +11,7 @@
 //   ... run the workload ...
 //   write_trace("app.trace", rec.take());
 //   BEConfig cfg = ...;
-//   cfg.profile = profile_from_trace("app.trace", footprint_pages, apa);
+//   cfg.profile = BEProfile::of(profile_from_trace(read_trace("app.trace"), apa));
 #pragma once
 
 #include <cstdint>

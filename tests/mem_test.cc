@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "mem/address_space.h"
@@ -143,6 +145,39 @@ TEST(TieredMemory, MigrationListenerFires) {
   mem.add_migration_listener(&listener);
   mem.migrate(p[0], Tier::kFMem);
   EXPECT_EQ(calls, 1);
+}
+
+TEST(TieredMemory, OwnerListenersHearOnlyTheirWorkloadsMoves) {
+  TieredMemory mem(small_config());
+  const auto a = mem.allocate(0, 2, kTierOnly(Tier::kSMem));
+  std::vector<std::string> calls;
+  FnListener all([&](PageId p, TierId, TierId) { calls.push_back("all:" + std::to_string(p)); });
+  FnListener own0([&](PageId p, TierId, TierId) { calls.push_back("w0:" + std::to_string(p)); });
+  FnListener own1([&](PageId p, TierId, TierId) { calls.push_back("w1:" + std::to_string(p)); });
+  // Registered before workload 1 owns anything, and before the all-pages one.
+  mem.add_migration_listener(&own1, 1);
+  mem.add_migration_listener(&own0, 0);
+  mem.add_migration_listener(&all);
+  const auto b = mem.allocate(1, 1, kTierOnly(Tier::kFMem));
+  mem.exchange(a[1], b[0]);
+  const std::vector<std::string> want = {"all:1", "w0:1", "all:2", "w1:2"};
+  EXPECT_EQ(calls, want);
+}
+
+TEST(TieredMemory, QueriesOfWorkloadsThatNeverAllocatedAreEmpty) {
+  // Ids past the per-workload table used to be read out of bounds.
+  TieredMemory mem(small_config());
+  EXPECT_TRUE(mem.pages_of(0).empty());
+  EXPECT_EQ(mem.workload_total(0), 0u);
+  mem.allocate(0, 4, kFastestFirst);
+  for (const WorkloadId w : {WorkloadId{1}, WorkloadId{7}, WorkloadId{300}}) {
+    EXPECT_TRUE(mem.pages_of(w).empty());
+    EXPECT_EQ(mem.workload_pages(w, Tier::kFMem), 0u);
+    EXPECT_EQ(mem.workload_pages(w, Tier::kSMem), 0u);
+    EXPECT_EQ(mem.workload_total(w), 0u);
+    EXPECT_EQ(mem.fmem_usage_ratio(w), 0.0);
+  }
+  EXPECT_EQ(mem.workload_total(0), 4u);
 }
 
 TEST(TieredMemory, CapacityConservationUnderRandomChurn) {

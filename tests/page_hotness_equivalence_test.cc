@@ -227,7 +227,9 @@ struct Harness {
       // through many bins; the rest sweep the full range (bin 0 <-> 1 churn).
       const PageId p = op < 60 ? static_cast<PageId>(rng.next_below(kPages / 32))
                                : static_cast<PageId>(rng.next_below(kPages));
-      const WorkloadId w = static_cast<WorkloadId>(rng.next_below(2));
+      // Attributed to the page's owner, as every workload model samples
+      // only its own pages (a filtered histogram hears only of those moves).
+      const WorkloadId w = mem.owner_of(p);
       ref.record_access(w, p);
       soa.record_access(w, p);
     } else if (op < 90) {

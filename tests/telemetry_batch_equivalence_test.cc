@@ -118,7 +118,7 @@ class RefSampler {
 class RefBeSamples {
  public:
   RefBeSamples(BEWorkload& be, std::uint64_t seed)
-      : alias_(be.config().profile.weight), rng_(seed), first_page_(be.space().pages().front()) {}
+      : alias_(be.config().profile.tables->weight), rng_(seed), first_page_(be.space().pages().front()) {}
 
   /// Tick `be` by `dt` and emit its samples one at a time; returns how many.
   std::uint64_t tick(BEWorkload& be, Duration dt, RefSampler& sampler) {
@@ -156,16 +156,18 @@ BEConfig synthetic_be(std::size_t pages, std::uint64_t seed) {
   cfg.cpu_ns_per_iter = 200;
   cfg.cores = 4;
   cfg.sample_period = 512;
-  cfg.profile.accesses_per_iteration = 2.0;
-  cfg.profile.weight.resize(pages);
+  PageProfile profile;
+  profile.accesses_per_iteration = 2.0;
+  profile.weight.resize(pages);
   double total = 0.0;
   for (std::size_t i = 0; i < pages; ++i) {
     const double u = rng.next_double();
     const double w = i % 7 == 3 ? 0.0 : (i % 10 == 0 ? 50.0 * u : u);
-    cfg.profile.weight[i] = w;
+    profile.weight[i] = w;
     total += w;
   }
-  for (double& w : cfg.profile.weight) w /= total;
+  for (double& w : profile.weight) w /= total;
+  cfg.profile = BEProfile::of(profile);
   return cfg;
 }
 
@@ -321,7 +323,7 @@ TEST(TelemetryBatchEquivalence, AliasDrawMatchesTheOperatorSequence) {
   // batch draw calls the same next_below, so the RNG state afterwards
   // checks that it pulls exactly the values operator() would, in order.
   const BEConfig cfg = synthetic_be(1000, 5);
-  const AliasSampler alias(cfg.profile.weight);
+  const AliasSampler alias(cfg.profile.tables->weight);
   std::vector<std::size_t> sizes = kBoundarySizes;
   sizes.push_back(3 * kChunk + 17);
   for (const std::size_t n : sizes) {

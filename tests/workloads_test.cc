@@ -258,7 +258,7 @@ TEST(BEWorkload, FmemWeightTracksMigrations) {
   for (int i = 0; i < 200; ++i) mem.migrate(pages[static_cast<std::size_t>(i * 7)], Tier::kFMem);
   double expect = 0;
   for (std::size_t i = 0; i < pages.size(); ++i)
-    if (mem.tier_of(pages[i]) == Tier::kFMem) expect += cfg.profile.weight[i];
+    if (mem.tier_of(pages[i]) == Tier::kFMem) expect += cfg.profile.tables->weight[i];
   EXPECT_NEAR(be.fmem_weight(), expect, 1e-12);
   EXPECT_GT(be.current_rate(), be.rate_at_pages(0));
 }
@@ -305,7 +305,7 @@ TEST(BESuite, CoversPaperTable2) {
 }
 
 TEST(BESuite, ProfileMemoIsThreadSafeAndDeterministic) {
-  // The per-process profile memo (BEProfileCache in be_suite.cc) is shared
+  // The per-process profile memos (common/memo.h, used by be_suite.cc) are shared
   // across parallel-runner workers. Hammer it from several threads — first
   // touch races included — and every caller must see bit-identical profiles,
   // equal to a serially built reference.
@@ -322,8 +322,8 @@ TEST(BESuite, ProfileMemoIsThreadSafeAndDeterministic) {
   }
   for (const BEConfig& c : got) {
     EXPECT_EQ(c.profile.accesses_per_iteration, ref.profile.accesses_per_iteration);
-    ASSERT_EQ(c.profile.weight.size(), ref.profile.weight.size());
-    EXPECT_TRUE(c.profile.weight == ref.profile.weight);  // bitwise, no tolerance
+    ASSERT_EQ(c.profile.num_pages(), ref.profile.num_pages());
+    EXPECT_TRUE(c.profile.tables->weight == ref.profile.tables->weight);  // bitwise
   }
 }
 
