@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "common/memo.h"
 #include "workloads/graph/graph_layout.h"
@@ -14,17 +15,13 @@ namespace {
 int graph_scale(BEScale s) { return s == BEScale::kTest ? 10 : 17; }
 
 /// Profile extraction runs the real kernel, which is the expensive part of
-/// building a BE config, so raw profiles are memoized per (workload, scale)
-/// under `key`; make() memoizes each stretched footprint's tables beside them.
-struct RawProfile {
-  std::string key;
-  std::shared_ptr<const PageProfile> profile;
-};
-
-RawProfile graph_profile(const std::string& name, BEScale scale,
-                         const std::function<KernelStats(GraphLayout&)>& run, bool rmat) {
-  std::string key = name + (scale == BEScale::kTest ? "/test" : "/default");
-  auto profile = memoized<PageProfile>(key, [&] {
+/// building a BE config, so raw profiles are memoized per (workload, scale).
+/// The memo keeps each alive for the process, so its address identifies it:
+/// make() memoizes each stretched footprint's tables under (profile, pages).
+std::shared_ptr<const PageProfile> graph_profile(
+    const std::string& name, BEScale scale,
+    const std::function<KernelStats(GraphLayout&)>& run, bool rmat) {
+  return memoized<PageProfile>(name + (scale == BEScale::kTest ? "/test" : "/default"), [&] {
     Rng rng(name == "sssp" ? 11 : name == "bfs" ? 22 : 33);
     const int sc = graph_scale(scale);
     const Graph g = rmat ? make_rmat_graph(sc, 16, rng)
@@ -36,12 +33,11 @@ RawProfile graph_profile(const std::string& name, BEScale scale,
     });
     return prof;
   });
-  return {std::move(key), std::move(profile)};
 }
 
-RawProfile xsbench_profile(BEScale scale) {
-  std::string key = scale == BEScale::kTest ? "xsbench/test" : "xsbench/default";
-  auto profile = memoized<PageProfile>(key, [&] {
+std::shared_ptr<const PageProfile> xsbench_profile(BEScale scale) {
+  const std::string key = scale == BEScale::kTest ? "xsbench/test" : "xsbench/default";
+  return memoized<PageProfile>(key, [&] {
     XSBenchKernel::Config xc;
     if (scale == BEScale::kTest) {
       xc.n_gridpoints = 1024;
@@ -59,10 +55,9 @@ RawProfile xsbench_profile(BEScale scale) {
       return lookups;
     });
   });
-  return {std::move(key), std::move(profile)};
 }
 
-BEConfig make(std::string name, std::string description, const RawProfile& raw, Bytes rss,
+BEConfig make(std::string name, std::string description, const PageProfile& raw, Bytes rss,
               double cpu_ns_per_iter, int cores, double mlp) {
   BEConfig c;
   c.name = std::move(name);
@@ -72,46 +67,46 @@ BEConfig make(std::string name, std::string description, const RawProfile& raw, 
   c.cores = cores;
   c.mlp = mlp;
   const std::uint64_t pages = bytes_to_pages(rss);
-  c.profile = *memoized<BEProfile>(raw.key + "@" + std::to_string(pages),
-                                   [&] { return BEProfile::of(raw.profile->stretched_to(pages)); });
+  c.profile = *memoized<BEProfile>(std::pair{&raw, pages},
+                                   [&] { return BEProfile::of(raw.stretched_to(pages)); });
   return c;
 }
 
 }  // namespace
 
 BEConfig sssp_config(BEScale scale, Bytes rss, int cores) {
-  const RawProfile prof = graph_profile(
+  const auto prof = graph_profile(
       "sssp", scale,
       [](GraphLayout& l) {
         std::vector<std::uint64_t> dist;
         return sssp(l, /*source=*/0, /*delta=*/8, dist);
       },
       /*rmat=*/true);
-  return make("sssp", "Finds the shortest paths from a single source node.", prof, rss,
+  return make("sssp", "Finds the shortest paths from a single source node.", *prof, rss,
               /*cpu_ns_per_iter=*/4.0, cores, /*mlp=*/1.2);
 }
 
 BEConfig bfs_config(BEScale scale, Bytes rss, int cores) {
-  const RawProfile prof = graph_profile(
+  const auto prof = graph_profile(
       "bfs", scale,
       [](GraphLayout& l) {
         std::vector<std::uint64_t> dist;
         return bfs(l, /*source=*/0, dist);
       },
       /*rmat=*/false);
-  return make("bfs", "Explores all nodes at the current depth level.", prof, rss,
+  return make("bfs", "Explores all nodes at the current depth level.", *prof, rss,
               /*cpu_ns_per_iter=*/3.0, cores, /*mlp=*/1.0);
 }
 
 BEConfig pr_config(BEScale scale, Bytes rss, int cores) {
-  const RawProfile prof = graph_profile(
+  const auto prof = graph_profile(
       "pr", scale,
       [](GraphLayout& l) {
         std::vector<double> rank;
         return pagerank(l, /*iterations=*/2, rank);
       },
       /*rmat=*/true);
-  return make("pr", "Assigns importance scores to nodes in a directed graph.", prof, rss,
+  return make("pr", "Assigns importance scores to nodes in a directed graph.", *prof, rss,
               /*cpu_ns_per_iter=*/2.0, cores, /*mlp=*/2.5);
 }
 
@@ -119,7 +114,7 @@ BEConfig xsbench_config(BEScale scale, Bytes rss, int cores) {
   return make("xsbench",
               "Simulates the computational workload of Monte Carlo neutron transport "
               "calculations.",
-              xsbench_profile(scale), rss, /*cpu_ns_per_iter=*/30.0, cores, /*mlp=*/6.0);
+              *xsbench_profile(scale), rss, /*cpu_ns_per_iter=*/30.0, cores, /*mlp=*/6.0);
 }
 
 std::vector<BEConfig> be_suite(BEScale scale, Bytes rss, int cores, int n) {

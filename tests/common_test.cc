@@ -343,6 +343,29 @@ TEST(AliasSampler, MatchesDistribution) {
   EXPECT_EQ(counts[4], 0);  // zero weight never drawn
 }
 
+TEST(AliasSampler, CoinEqualToTheColumnProbabilityTakesTheAlias) {
+  // Weights {c, 2 - c} that sum to exactly 2 give column 0 probability c
+  // and alias 1. A draw of column 0 with coin exactly c is where
+  // `coin < prob` and `coin <= prob` part: it must take the alias, in both
+  // operator() and draw().
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed < 400 && checked < 3; ++seed) {
+    Rng peek(seed);
+    if (peek.next_below(2) != 0) continue;
+    const double c = peek.next_double();
+    if (c == 0.0 || c + (2.0 - c) != 2.0) continue;
+    const AliasSampler s({c, 2.0 - c});
+    Rng one(seed);
+    EXPECT_EQ(s(one), 1u) << "seed " << seed;
+    Rng batch(seed);
+    std::uint32_t out[1];
+    s.draw(batch, out);
+    EXPECT_EQ(out[0], 1u) << "seed " << seed;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3);
+}
+
 TEST(AliasSampler, SingleElement) {
   AliasSampler s({3.0});
   Rng r(53);

@@ -223,13 +223,15 @@ struct Harness {
   void step() {
     const std::uint32_t op = rng.next_below(100);
     if (op < 78) {
-      // Skewed accesses: most records hit a small hot set so counts climb
-      // through many bins; the rest sweep the full range (bin 0 <-> 1 churn).
-      const PageId p = op < 60 ? static_cast<PageId>(rng.next_below(kPages / 32))
-                               : static_cast<PageId>(rng.next_below(kPages));
-      // Attributed to the page's owner, as every workload model samples
-      // only its own pages (a filtered histogram hears only of those moves).
-      const WorkloadId w = mem.owner_of(p);
+      // Skewed accesses: most records hit a small hot set of the recording
+      // workload's pages so counts climb through many bins; the rest sweep
+      // all of its pages (bin 0 <-> 1 churn). Every workload model samples
+      // only pages it owns (a filtered histogram hears only of those moves).
+      const WorkloadId w = static_cast<WorkloadId>(rng.next_below(2));
+      const std::vector<PageId>& own = mem.pages_of(w);
+      const std::uint64_t span = op < 60 ? kPages / 32 : own.size();
+      const PageId p = own[rng.next_below(span)];
+      ASSERT_EQ(mem.owner_of(p), w);
       ref.record_access(w, p);
       soa.record_access(w, p);
     } else if (op < 90) {
