@@ -107,6 +107,11 @@ for lane in release asan; do
   rm -rf "${smoke_dir}"
 done
 
+# The perf record: every committed BENCH_trajectory.json entry against the
+# best earlier entry with the same workload, host and build (DESIGN.md §14.2).
+echo "==== perf record gate (tools/bench_trajectory.py check) ===="
+python3 tools/bench_trajectory.py check BENCH_trajectory.json
+
 # The perf lane end-to-end: gate the committed trajectory (same check the
 # perf_diff_trajectory ctest runs in every lane), then append a fresh
 # smoke-scale entry to a scratch copy and report it against the committed
