@@ -1,4 +1,5 @@
-// Fleet-scale presets for the cluster benches (ext_cluster_slo, perf_cluster).
+// Fleet-scale presets for the cluster benches (ext_cluster_slo,
+// ext_cluster_fault_tolerance, ext_ntier_topologies).
 //
 // Layers cluster geometry on top of the node-level Scale preset: how many
 // simulated nodes, and how long the settle/probe/measure windows run. Sized

@@ -27,8 +27,6 @@
 //                                      storm:0.5:cold); validated by
 //                                      cluster_faults_from_env() via
 //                                      faults::ClusterFaultPlan::from_spec
-//   MTAT_PERF_LABEL   non-empty string label for the BENCH_*.json entry a
-//                                      perf_* bench appends (default "run")
 //   MTAT_TOPOLOGY     spec             tier topology override for the
 //                                      co-location benches, fastest first
 //                                      (e.g. dram:8G:73;cxl:64G:202;nvm:256G:450);
@@ -64,7 +62,6 @@ struct Env {
   /// parses it via faults::ClusterFaultPlan::from_spec and warns on anything
   /// malformed.
   std::string cluster_faults;
-  std::string perf_label = "run";     ///< MTAT_PERF_LABEL
   /// MTAT_TOPOLOGY, verbatim (empty: benches keep their two-tier default).
   /// Raw for the same reason as `faults`: parsing lives with mem/topology.h's
   /// parse_topology, and bench/harness.h's topology_from_env() warns and
@@ -120,7 +117,6 @@ inline Env parse_env() {
   }
   if (const auto s = env_string("MTAT_FAULTS")) e.faults = *s;
   if (const auto s = env_string("MTAT_CLUSTER_FAULTS")) e.cluster_faults = *s;
-  if (const auto s = env_string("MTAT_PERF_LABEL")) e.perf_label = *s;
   if (const auto s = env_string("MTAT_TOPOLOGY")) e.topology = *s;
   if (const auto s = env_string("MTAT_NODES")) {
     const auto v = parse_int(*s);

@@ -526,7 +526,6 @@ ClusterResult ClusterSim::run(const PlacementPolicy& policy,
     r.p99_of_p99_ms = p99s[std::min(idx, p99s.size() - 1)];
   }
   r.node_sim_seconds = to_seconds(node_sim_time);
-  r.sim_steps = static_cast<std::uint64_t>(r.node_sim_seconds / to_seconds(cfg_.node.tick));
 
   reg.counter(obs::names::kClusterRebalancedTenants).inc(static_cast<double>(total_moved));
   reg.gauge(obs::names::kClusterOfferedRps).set(r.offered_krps * 1000.0);

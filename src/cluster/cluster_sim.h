@@ -148,10 +148,9 @@ struct ClusterResult {
   int overloaded_nodes = 0;        ///< nodes over 1% SLO violations
   int rebalanced_tenants = 0;      ///< placements that moved between rounds
   /// Simulated node-time the run consumed (every epoch, settle and
-  /// checkpoint replay included): the denominator-free work measure
-  /// bench/perf_cluster.cc rates against wall time.
+  /// checkpoint replay included): the denominator-free work measure the
+  /// benchmark of record rates against wall time (`sim_s_per_wall_s`).
   double node_sim_seconds = 0;
-  std::uint64_t sim_steps = 0;     ///< total node ticks executed
 
   // --- failure-domain outcomes (zero for healthy runs) ---------------------
   std::vector<EpochStats> epochs;  ///< per-epoch fleet series, epoch order

@@ -4,9 +4,10 @@
 // zero BE workloads) and std::sto* throws on bad input; both are banned by
 // mtat_lint's unsafe-parse rule. These helpers wrap strtol/strtoull/strtod
 // with full-string and range validation and return std::nullopt on anything
-// that is not exactly one number.
+// that is not exactly one number: no leading or trailing whitespace, no junk.
 #pragma once
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
@@ -15,10 +16,19 @@
 
 namespace mtat {
 
+namespace detail {
+/// strto* skip leading whitespace, so " 12" would parse and " -1" would slip
+/// past parse_u64's sign check; a number here starts at its first character.
+inline bool bad_start(const std::string& s) {
+  return s.empty() || std::isspace(static_cast<unsigned char>(s[0]));
+}
+}  // namespace detail
+
 /// Parse `s` as a base-10 signed integer. The whole string must be consumed;
-/// empty strings, trailing junk ("12x"), and out-of-range values fail.
+/// empty strings, leading whitespace, trailing junk ("12x"), and out-of-range
+/// values fail.
 inline std::optional<long long> parse_i64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
+  if (detail::bad_start(s)) return std::nullopt;
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(s.c_str(), &end, 10);
@@ -29,7 +39,7 @@ inline std::optional<long long> parse_i64(const std::string& s) {
 /// Parse `s` as a base-10 unsigned integer. Rejects a leading '-' (strtoull
 /// would happily wrap it) as well as partial parses and overflow.
 inline std::optional<unsigned long long> parse_u64(const std::string& s) {
-  if (s.empty() || s[0] == '-') return std::nullopt;
+  if (detail::bad_start(s) || s[0] == '-') return std::nullopt;
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
@@ -48,7 +58,7 @@ inline std::optional<int> parse_int(const std::string& s) {
 /// Parse `s` as a double. The whole string must be consumed; inf/nan spellings
 /// are accepted (strtod semantics), overflow to ±HUGE_VAL fails.
 inline std::optional<double> parse_double(const std::string& s) {
-  if (s.empty()) return std::nullopt;
+  if (detail::bad_start(s)) return std::nullopt;
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);

@@ -99,15 +99,6 @@ inline constexpr const char* kClusterFailoverRetries = "cluster.failover_retries
 inline constexpr const char* kClusterFailoverWarmRestarts = "cluster.failover_warm_restarts";
 inline constexpr const char* kClusterFailoverColdRestarts = "cluster.failover_cold_restarts";
 inline constexpr const char* kClusterFailoverPlacementMode = "cluster.failover_placement_mode";
-inline constexpr const char* kPerfSimStepsPerSec = "perf.sim_steps_per_sec";
-inline constexpr const char* kPerfSamplerIngestPerSec = "perf.sampler_ingest_per_sec";
-inline constexpr const char* kPerfHotnessRecordAgePerSec = "perf.hotness_record_age_per_sec";
-inline constexpr const char* kPerfHotnessPullPerSec = "perf.hotness_pull_per_sec";
-inline constexpr const char* kPerfMigrationsPerSec = "perf.migrations_per_sec";
-inline constexpr const char* kPerfSacInferencePerSec = "perf.sac_inference_per_sec";
-inline constexpr const char* kPerfClusterQuarterStepsPerSec = "perf.cluster_quarter_steps_per_sec";
-inline constexpr const char* kPerfClusterHalfStepsPerSec = "perf.cluster_half_steps_per_sec";
-inline constexpr const char* kPerfClusterFullStepsPerSec = "perf.cluster_full_steps_per_sec";
 // mtat-lint: section=trace-event
 inline constexpr const char* kEvInterval = "interval";
 inline constexpr const char* kEvMigration = "migration";
@@ -159,19 +150,13 @@ inline constexpr const char* kAllMetricNames[] = {
     kClusterNodeTenants, kFaultNodeCrashes, kFaultNodeStragglers,
     kFaultNodeBlackouts, kClusterFailoverSuspectedNodes, kClusterFailoverEvacuations,
     kClusterFailoverQueuedTenants, kClusterFailoverRetries, kClusterFailoverWarmRestarts,
-    kClusterFailoverColdRestarts, kClusterFailoverPlacementMode, kPerfSimStepsPerSec,
-    kPerfSamplerIngestPerSec, kPerfHotnessRecordAgePerSec, kPerfHotnessPullPerSec,
-    kPerfMigrationsPerSec, kPerfSacInferencePerSec, kPerfClusterQuarterStepsPerSec,
-    kPerfClusterHalfStepsPerSec, kPerfClusterFullStepsPerSec};
+    kClusterFailoverColdRestarts, kClusterFailoverPlacementMode};
 
 /// Wall-clock-domain metrics: the only registry entries allowed to differ
 /// between two same-seed runs (they measure host compute time, not simulated
-/// behaviour). The determinism regression test skips exactly these. The whole
-/// perf.* family is wall-derived by construction — every one is an ops/s
-/// throughput rated against host wall time by bench/perf_core.
+/// behaviour). The determinism regression test skips exactly these.
 inline constexpr bool is_wall_time_metric(std::string_view name) {
-  return name.find("wall") != std::string_view::npos ||
-         name.substr(0, 5) == "perf.";  // mtat-lint: allow(perf-name)
+  return name.find("wall") != std::string_view::npos;
 }
 
 }  // namespace mtat::obs::names

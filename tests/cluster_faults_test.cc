@@ -150,8 +150,7 @@ std::string fingerprint(const ClusterResult& r) {
   ss.precision(17);
   ss << r.offered_krps << ',' << r.completed_krps << ',' << r.slo_compliance_pct << ','
      << r.max_p99_ms << ',' << r.p99_of_p99_ms << ',' << r.fmem_util_pct << ','
-     << r.overloaded_nodes << ',' << r.rebalanced_tenants << ',' << r.sim_steps << ','
-     << r.node_sim_seconds << '\n'
+     << r.overloaded_nodes << ',' << r.rebalanced_tenants << ',' << r.node_sim_seconds << '\n'
      << r.node_crashes << ',' << r.node_stragglers << ',' << r.node_blackouts << ','
      << r.warm_restarts << ',' << r.cold_restarts << ',' << r.evacuations << ','
      << r.failover_retries << ',' << r.unplaced_tenants << '\n';

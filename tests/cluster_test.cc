@@ -206,7 +206,7 @@ std::string fingerprint(const ClusterResult& r) {
   ss.precision(17);
   ss << r.offered_krps << ',' << r.completed_krps << ',' << r.slo_compliance_pct << ','
      << r.max_p99_ms << ',' << r.p99_of_p99_ms << ',' << r.fmem_util_pct << ','
-     << r.overloaded_nodes << ',' << r.rebalanced_tenants << ',' << r.sim_steps << '\n';
+     << r.overloaded_nodes << ',' << r.rebalanced_tenants << ',' << r.node_sim_seconds << '\n';
   for (const NodeResult& n : r.nodes) {
     ss << n.node_id << ',' << n.tenants << ',' << n.offered_krps << ',' << n.p99_ms << ','
        << n.slo_violation_pct << ',' << n.fmem_util_pct << ',' << n.sim.lc_completed << '\n'
@@ -262,7 +262,7 @@ TEST(ClusterSim, AggregatesAndClusterGaugesAreConsistent) {
   EXPECT_GE(r.slo_compliance_pct, 0.0);
   EXPECT_LE(r.slo_compliance_pct, 100.0);
   EXPECT_GT(r.completed_krps, 0.0);
-  EXPECT_GT(r.sim_steps, 0u);
+  EXPECT_GT(r.node_sim_seconds, 0.0);
 
   // Fleet gauges and counters mirror the returned aggregates.
   const obs::MetricsRegistry& reg = ctx.metrics();

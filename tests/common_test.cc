@@ -1,15 +1,17 @@
 // Tests for the common substrate: RNG + distributions, latency histogram,
-// running statistics, CSV writer, alias sampler.
+// running statistics, CSV writer, alias sampler, checked number parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 
 #include "common/alias_sampler.h"
 #include "common/csv.h"
 #include "common/latency_histogram.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/units.h"
@@ -370,6 +372,28 @@ TEST(AliasSampler, SingleElement) {
   AliasSampler s({3.0});
   Rng r(53);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(s(r), 0u);
+}
+
+// ---------------------------------------------------------------- Parse ----
+
+TEST(Parse, ExactlyOneNumberWithoutSurroundingWhitespace) {
+  // strto* skip leading whitespace, so without a check of the first character
+  // " -1" gets past parse_u64's sign check and wraps to 2^64 - 1.
+  const struct {
+    const char* in;
+    std::optional<long long> i64;
+    std::optional<unsigned long long> u64;
+    std::optional<double> dbl;
+  } cases[] = {
+      {" -1", {}, {}, {}}, {"\t-1", {}, {}, {}},  {" 12", {}, {}, {}},
+      {"12 ", {}, {}, {}}, {"-1", -1, {}, -1.0}, {"+7", 7, 7u, 7.0},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(parse_i64(c.in), c.i64) << '"' << c.in << '"';
+    EXPECT_EQ(parse_int(c.in), c.i64) << '"' << c.in << '"';
+    EXPECT_EQ(parse_u64(c.in), c.u64) << '"' << c.in << '"';
+    EXPECT_EQ(parse_double(c.in), c.dbl) << '"' << c.in << '"';
+  }
 }
 
 // ---------------------------------------------------------------- Units ----

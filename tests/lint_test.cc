@@ -132,80 +132,42 @@ TEST(LintSource, KnownNameSpelledInlineMustUseConstant) {
   EXPECT_EQ(findings.size(), 2u) << dump(findings);
 }
 
-TEST(LintSource, FaultDomainLiteralsFlaggedAnywhereOnALine) {
-  const auto findings = lint_fixture("bad_fault_literal.cc");
-  // A known fault.* name at a call site: both the call-site rule and the
-  // stricter anywhere-rule fire.
-  EXPECT_TRUE(has(findings, "fault-name", 6, "use the obs::names:: constant"))
+/// One family of the strict-name rule's fault.* / cluster.* literals, and
+/// the first of its three lines in bad_strict_literal.cc.
+struct StrictFamily {
+  const char* name;
+  const char* unknown;  ///< the message for the family's typo'd name
+  int line;
+};
+
+void PrintTo(const StrictFamily& f, std::ostream* os) { *os << f.name; }
+
+class StrictNameLiterals : public ::testing::TestWithParam<StrictFamily> {};
+
+TEST_P(StrictNameLiterals, FlaggedAnywhereOnALine) {
+  const StrictFamily& f = GetParam();
+  const auto findings = lint_fixture("bad_strict_literal.cc");
+  // A known name at a call site: both the call-site rule and the stricter
+  // anywhere-rule fire.
+  EXPECT_TRUE(has(findings, "strict-name", f.line, "use the obs::names:: constant"))
       << dump(findings);
-  // A known fault.* name in a bare comparison — no registry call, so only
-  // fault-name can catch it.
-  EXPECT_TRUE(has(findings, "fault-name", 7, "use the obs::names:: constant"))
+  EXPECT_TRUE(has(findings, "metric-name", f.line, "use the obs::names:: constant"))
       << dump(findings);
-  EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
-  // A typo'd fault.* name reads as an unknown to declare.
-  EXPECT_TRUE(has(findings, "fault-name", 8, "unknown fault-domain name"))
+  // A known name in a bare comparison — no registry call, so only
+  // strict-name can catch it.
+  EXPECT_TRUE(has(findings, "strict-name", f.line + 1, "use the obs::names:: constant"))
       << dump(findings);
+  EXPECT_FALSE(has(findings, "metric-name", f.line + 1, "")) << dump(findings);
+  // A typo'd name reads as an unknown to declare.
+  EXPECT_TRUE(has(findings, "strict-name", f.line + 2, f.unknown)) << dump(findings);
 }
 
-TEST(LintSource, ClusterDomainLiteralsFlaggedAnywhereOnALine) {
-  const auto findings = lint_fixture("bad_cluster_literal.cc");
-  // A known cluster.* name at a call site: both the call-site rule and the
-  // stricter anywhere-rule fire.
-  EXPECT_TRUE(has(findings, "cluster-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  // A known cluster.* name in a bare comparison — no registry call, so only
-  // cluster-name can catch it.
-  EXPECT_TRUE(has(findings, "cluster-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
-  // A typo'd cluster.* name reads as an unknown to declare.
-  EXPECT_TRUE(has(findings, "cluster-name", 8, "unknown cluster-domain name"))
-      << dump(findings);
-}
-
-TEST(LintSource, NodeFaultSubFamilyReportsUnderItsOwnRule) {
-  const auto findings = lint_fixture("bad_node_fault_literal.cc");
-  // First-wins prefix matching: fault.node_* literals report as
-  // node-fault-name, never as the parent fault-name rule.
-  EXPECT_TRUE(has(findings, "node-fault-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_TRUE(has(findings, "node-fault-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "fault-name", 6, "")) << dump(findings);
-  EXPECT_FALSE(has(findings, "fault-name", 7, "")) << dump(findings);
-  // A typo'd fault.node_* name reads as an unknown to declare.
-  EXPECT_TRUE(has(findings, "node-fault-name", 8, "unknown node-fault-domain name"))
-      << dump(findings);
-}
-
-TEST(LintSource, FailoverSubFamilyReportsUnderItsOwnRule) {
-  const auto findings = lint_fixture("bad_failover_literal.cc");
-  EXPECT_TRUE(has(findings, "failover-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_TRUE(has(findings, "failover-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "cluster-name", 6, "")) << dump(findings);
-  EXPECT_FALSE(has(findings, "cluster-name", 7, "")) << dump(findings);
-  EXPECT_TRUE(has(findings, "failover-name", 8, "unknown failover-domain name"))
-      << dump(findings);
-}
-
-TEST(LintSource, PerfDomainLiteralsFlaggedAnywhereOnALine) {
-  const auto findings = lint_fixture("bad_perf_literal.cc");
-  // A known perf.* name at a call site: both the call-site rule and the
-  // stricter anywhere-rule fire.
-  EXPECT_TRUE(has(findings, "perf-name", 6, "use the obs::names:: constant"))
-      << dump(findings);
-  // A known perf.* name in a bare comparison — no registry call, so only
-  // perf-name can catch it.
-  EXPECT_TRUE(has(findings, "perf-name", 7, "use the obs::names:: constant"))
-      << dump(findings);
-  EXPECT_FALSE(has(findings, "metric-name", 7, "")) << dump(findings);
-  // A typo'd perf.* name reads as an unknown to declare.
-  EXPECT_TRUE(has(findings, "perf-name", 8, "unknown perf-domain name"))
-      << dump(findings);
-}
+INSTANTIATE_TEST_SUITE_P(Families, StrictNameLiterals,
+                         ::testing::Values(StrictFamily{"fault", "unknown fault.* name", 8},
+                                           StrictFamily{"node_fault", "unknown fault.* name", 11},
+                                           StrictFamily{"cluster", "unknown cluster.* name", 14},
+                                           StrictFamily{"failover", "unknown cluster.* name", 17}),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 TEST(LintSource, NonCanonicalUnitSuffixesAtCallSites) {
   const auto findings = lint_fixture("bad_unit_suffix.cc");
@@ -346,12 +308,9 @@ TEST(Suppression, RealAllowlistParses) {
   EXPECT_FALSE(allow.allows("nondet", "tests/obs_test.cc"));
   EXPECT_TRUE(allow.allows("getenv", "bench/env.h"));
   EXPECT_FALSE(allow.allows("getenv", "bench/harness.h"));
-  EXPECT_TRUE(allow.allows("fault-name", "src/obs/names.h"));
-  EXPECT_FALSE(allow.allows("fault-name", "src/faults/fault_plan.h"));
-  EXPECT_TRUE(allow.allows("cluster-name", "src/obs/names.h"));
-  EXPECT_FALSE(allow.allows("cluster-name", "src/cluster/cluster_sim.cc"));
-  EXPECT_TRUE(allow.allows("perf-name", "src/obs/names.h"));
-  EXPECT_FALSE(allow.allows("perf-name", "bench/perf_core.cc"));
+  EXPECT_TRUE(allow.allows("strict-name", "src/obs/names.h"));
+  EXPECT_FALSE(allow.allows("strict-name", "src/faults/fault_plan.h"));
+  EXPECT_FALSE(allow.allows("strict-name", "src/cluster/cluster_sim.cc"));
 }
 
 // ----------------------------------------------------------------- doc sync --
@@ -398,8 +357,7 @@ TEST(Run, FixtureTreeProducesEveryRule) {
   const std::vector<Finding> findings = run(opt);
   ASSERT_FALSE(findings.empty());
   for (const char* rule :
-       {"metric-name", "fault-name", "cluster-name", "perf-name", "node-fault-name",
-        "failover-name", "unit-suffix", "nondet",
+       {"metric-name", "strict-name", "unit-suffix", "nondet",
         "unsafe-parse", "getenv", "ns-header", "context-escape", "shared-mutable",
         "unordered-iter", "pointer-order", "tier-literal", "guarded-by",
         "stale-suppression"}) {

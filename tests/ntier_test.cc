@@ -250,6 +250,7 @@ TEST(TopologyParse, MalformedSpecsAreRejectedWithSpecificErrors) {
       {":1G:73;nvm:4G:450", "empty name"},
       {"dram:zero:73;nvm:4G:450", "bad capacity"},
       {"dram:0:73;nvm:4G:450", "bad capacity"},
+      {"dram: -1:73;nvm:4G:450", "bad capacity"},
       {"dram:1G:fast;nvm:4G:450", "bad latency"},
       {"dram:1G:0;nvm:4G:450", "bad latency"},
       {"dram:1G:73:none;nvm:4G:450", "bad link bandwidth"},

@@ -112,23 +112,6 @@ done
 echo "==== perf record gate (tools/bench_trajectory.py check) ===="
 python3 tools/bench_trajectory.py check BENCH_trajectory.json
 
-# The perf lane end-to-end: gate the committed trajectory (same check the
-# perf_diff_trajectory ctest runs in every lane), then append a fresh
-# smoke-scale entry to a scratch copy and report it against the committed
-# tail. The report is informational (--report-only): absolute ops/s from
-# this machine are not comparable to the committed entries' machine.
-echo "==== perf regression gate (perf_diff --trajectory BENCH_core.json) ===="
-"${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_core.json
-echo "==== perf regression gate (perf_diff --trajectory BENCH_cluster.json) ===="
-"${repo_root}/build-check/release/tools/perf_diff/perf_diff" --trajectory BENCH_cluster.json
-echo "==== perf lane smoke (release, MTAT_SCALE=smoke, fresh entry report) ===="
-smoke_dir=$(mktemp -d)
-cp BENCH_core.json "${smoke_dir}/"
-(cd "${smoke_dir}" &&
- MTAT_SCALE=smoke MTAT_PERF_LABEL=check-smoke "${repo_root}/build-check/release/bench/perf_core" &&
- "${repo_root}/build-check/release/tools/perf_diff/perf_diff" --report-only --trajectory BENCH_core.json)
-rm -rf "${smoke_dir}"
-
 # Thread-safety lane: clang's -Wthread-safety *proves* the GUARDED_BY /
 # REQUIRES / EXCLUDES contracts from src/common/thread_annotations.h (the
 # mtat_lint guarded-by rule only enforces that annotations exist — GCC

@@ -217,7 +217,7 @@ class SourceLinter {
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const Token& t = toks[i];
       if (t.kind == Token::Kind::kString) {
-        check_strict_domains(t);
+        check_strict_names(t);
         continue;
       }
       if (t.kind != Token::Kind::kIdent) continue;
@@ -309,37 +309,21 @@ class SourceLinter {
              "metric name \"" + name + "\" uses a non-canonical unit suffix; use _" + canon);
   }
 
-  /// fault.* / cluster.* / perf.* literals are banned anywhere on any line —
+  /// fault.* and cluster.* literals are banned anywhere on any line —
   /// comparisons, map keys, and test expectations included. Those families
-  /// are audited across tools (perf_diff, the placement policy, resilience
-  /// claims), so the only blessed spelling is the obs::names:: constant.
-  void check_strict_domains(const Token& t) {
-    struct StrictDomain {
-      const char* prefix;
-      const char* rule;
-      const char* what;
-    };
-    // Matching is first-wins, so sub-family rows precede their parents: a
-    // failure-domain literal reports under its own rule, which lets the
-    // allowlist bless names.h for the sub-family without widening the
-    // parent-domain grant.
-    static const StrictDomain kStrictDomains[] = {
-        {"fault.node_", "node-fault-name", "node-fault-domain"},    // mtat-lint: allow(node-fault-name)
-        {"fault.", "fault-name", "fault-domain"},        // mtat-lint: allow(fault-name)
-        {"cluster.failover_", "failover-name", "failover-domain"},  // mtat-lint: allow(failover-name)
-        {"cluster.", "cluster-name", "cluster-domain"},  // mtat-lint: allow(cluster-name)
-        {"perf.", "perf-name", "perf-domain"},           // mtat-lint: allow(perf-name)
-    };
-    for (const StrictDomain& d : kStrictDomains) {
-      if (t.text.rfind(d.prefix, 0) != 0) continue;
+  /// carry the resilience and placement claims, so the only blessed spelling
+  /// is the obs::names:: constant.
+  void check_strict_names(const Token& t) {
+    static const char* const kStrictPrefixes[] = {"fault.", "cluster."};  // mtat-lint: allow(strict-name)
+    for (const char* prefix : kStrictPrefixes) {
+      if (!t.text.starts_with(prefix)) continue;
       if (names_.contains(t.text)) {
-        report(t.line, d.rule,
-               std::string(d.what) + " name literal \"" + t.text +
+        report(t.line, "strict-name",
+               "name literal \"" + t.text +
                    "\": use the obs::names:: constant from src/obs/names.h");
       } else {
-        report(t.line, d.rule,
-               std::string("unknown ") + d.what + " name \"" + t.text + "\": every " +
-                   d.prefix +
+        report(t.line, "strict-name",
+               std::string("unknown ") + prefix + "* name \"" + t.text + "\": every " + prefix +
                    "* metric/trace name must be declared in src/obs/names.h "
                    "and referenced via its obs::names:: constant");
       }

@@ -25,17 +25,11 @@
 //  unit-suffix   Metric names use the canonical unit suffixes (_us, _ms, _ns,
 //                _bytes, _pages, _pct, _per_sec). Variants like _usec, _msec,
 //                _percent, _kb are rejected with the canonical suggestion.
-//  fault-name    String literals in the fault.* namespace are banned anywhere
-//  cluster-name  (not just at call sites); same for cluster.* and perf.*.
-//  perf-name     These families are audited across tools (perf_diff, the
-//                placement policy, resilience claims), so the only blessed
-//                spelling is the obs::names:: constant; names.h declares.
-//  node-fault-name
-//  failover-name The fleet failure domain's sub-families, split from their
-//                parents (first-wins prefix match): fault.node_* (injected
-//                node events) and cluster.failover_* (watchdog/evacuation/
-//                restart outcomes) carry the §17 resilience claims, so they
-//                get their own rules and their own allowlist rows.
+//  strict-name   String literals in the fault.* and cluster.* namespaces
+//                are banned anywhere (not just at call sites): those
+//                families carry the resilience and placement claims, so the
+//                only blessed spelling is the obs::names:: constant;
+//                names.h declares.
 //  nondet        Nondeterminism sources are banned: rand(), srand(),
 //                std::random_device, system_clock, time(), clock(),
 //                gettimeofday(), localtime/gmtime. Randomness comes from the
