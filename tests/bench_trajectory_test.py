@@ -76,26 +76,29 @@ class Gate(unittest.TestCase):
         self.assertEqual(self.check(entry("a", setup_s=0.0), entry("b", setup_s=0.0)), 0)
         self.assertEqual(self.check(entry("a", setup_s=0.0), entry("b", setup_s=0.01)), 1)
 
-    def test_record_refuses_a_result_that_is_not_correct(self):
+    def test_record_refuses_a_result_that_is_not_correct_and_keeps_the_median(self):
         metrics = {k: {"value": v, "unit": "x"} for k, v in BASE.items()}
         manifest = {"git_sha": "abc", "config": {"workers": "1", "nproc": "4",
                                                  "build_type": "RelWithDebInfo",
                                                  "source_digest": "def"}}
+
+        def fake(*runs):  # (correct, failed, sim_s_per_wall_s, digest) per run
+            out = [["manifest " + json.dumps(manifest), f"digest node_mtat seed 1 {d}",
+                    json.dumps({"correct": c, "attempted": 5, "failed": f, "metrics": {
+                        **metrics, "sim_s_per_wall_s": {"value": v, "unit": "x"}}})]
+                   for c, f, v, d in runs]
+            return lambda workload: out.pop(0) if out else []
+
         saved = bt.run_benchmark, bt.TRAJECTORY
         bt.TRAJECTORY = self.path
         try:
-            for correct, failed in ((False, 0), (True, 3)):
-                result = {"correct": correct, "attempted": 5, "failed": failed, "metrics": metrics}
-                bt.run_benchmark = lambda w, r=result: [
-                    "manifest " + json.dumps(manifest), "digest node_mtat seed 1 0123",
-                    json.dumps(r)]
+            for runs in ([(False, 0, 100.0, "a")], [(True, 3, 100.0, "a")], [],
+                         [(True, 0, 100.0, "a"), (True, 0, 100.0, "b"), (True, 0, 100.0, "a")]):
+                bt.run_benchmark = fake(*runs)
                 self.assertEqual(self.run_tool("record", "pr", "node_mtat"), 2)
                 self.assertFalse(self.path.exists())
-            bt.run_benchmark = lambda w: []
-            self.assertEqual(self.run_tool("record", "pr", "node_mtat"), 2)
-            result["correct"], result["failed"] = True, 0
-            bt.run_benchmark = lambda w: ["manifest " + json.dumps(manifest),
-                                          "digest node_mtat seed 1 0123", json.dumps(result)]
+            bt.run_benchmark = fake((True, 0, 90.0, "a"), (True, 0, 120.0, "a"),
+                                    (True, 0, 100.0, "a"))
             self.assertEqual(self.run_tool("record", "pr", "node_mtat"), 0)
             self.assertEqual(json.loads(self.path.read_text())[0]["metrics"], BASE)
         finally:

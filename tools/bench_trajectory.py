@@ -5,9 +5,11 @@
     python3 tools/bench_trajectory.py check FILE
 
 `record` runs `benchmark/run.py --workload WORKLOAD --seed 1 --seconds 20
---trace 0` from the repository root, refuses a result that is not correct or
-has a failed operation, and appends the labelled result, its run manifest and
-the host (CPU model name, nproc) to BENCH_trajectory.json at the root.
+--trace 0` from the repository root three times, refuses a result that is not
+correct or has a failed operation, and appends the labelled per-metric median,
+the run manifest and the host (CPU model name, nproc) to
+BENCH_trajectory.json at the root. One run's host times spread wider than
+some of BENCHMARK.json's bounds; the median of three is what gets gated.
 
 `check` gates every entry of FILE, end-to-end metric by metric, against the
 best earlier value among the entries with the same fingerprint (workload,
@@ -19,6 +21,7 @@ malformed or unreadable input (never conflated with a regression).
 """
 import json
 import math
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "BENCH_trajectory.json"
 FINGERPRINT = ("workload", "host", "nproc", "workers", "build_type")
 FIELDS = {"label", "git_sha", "source_digest", "digest", "metrics", *FINGERPRINT}
+RUNS = 3
 
 
 class Refused(Exception):
@@ -86,7 +90,7 @@ def run_benchmark(workload):
     return subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True).stdout.splitlines()
 
 
-def record(label, workload):
+def run_once(workload):
     lines = run_benchmark(workload)
     try:
         result = json.loads(lines[-1])
@@ -96,6 +100,14 @@ def record(label, workload):
         raise Refused(f"{workload}: the benchmark printed no result") from e
     if result.get("correct") is not True or result.get("failed") != 0:
         raise Refused(f"{workload}: refusing a result that is not correct with 0 failed")
+    return result, manifest, digest
+
+
+def record(label, workload):
+    runs = [run_once(workload) for _ in range(RUNS)]
+    _, manifest, digest = runs[0]
+    if any(d != digest for _, _, d in runs):
+        raise Refused(f"{workload}: same-seed runs gave different digests")
     cpu = [l.split(":", 1)[1].strip() for l in Path("/proc/cpuinfo").read_text().splitlines()
            if l.startswith("model name")]
     config = manifest["config"]
@@ -103,7 +115,8 @@ def record(label, workload):
              "nproc": int(config["nproc"]), "workers": int(config["workers"]),
              "build_type": config["build_type"], "git_sha": manifest["git_sha"],
              "source_digest": config["source_digest"], "digest": digest,
-             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+             "metrics": {k: statistics.median(r["metrics"][k]["value"] for r, _, _ in runs)
+                         for k in runs[0][0]["metrics"]}}
     entries = load(TRAJECTORY, end_to_end()) if TRAJECTORY.exists() else []
     TRAJECTORY.write_text(json.dumps(entries + [entry], indent=1) + "\n")
     print(f"recorded {label} {workload} in {TRAJECTORY.name}")
