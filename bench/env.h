@@ -13,7 +13,9 @@
 //                                      a seconds-long CI preset)
 //   MTAT_EPOCHS       non-negative int RL training epochs override
 //   MTAT_TRACE        path             write a Chrome trace_event file
-//   MTAT_TRACE_EVENTS positive int     trace ring capacity override
+//   MTAT_TRACE_EVENTS int in [1, 2^22] trace ring capacity override (each
+//                                      worker context allocates its ring up
+//                                      front, ~300 MiB at the cap)
 //   MTAT_JOBS         non-negative int experiment parallelism; 0 = one job
 //                                      per hardware thread (the default)
 //   MTAT_NODES        positive int     cluster bench fleet size override
@@ -34,6 +36,7 @@
 //                                      mtat::parse_topology
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -74,6 +77,18 @@ struct Env {
 
 namespace internal {
 
+/// Largest accepted MTAT_TRACE_EVENTS: 2^22 events of 72 B is ~300 MiB per
+/// ring, and ParallelRunner allocates one ring per worker context.
+inline constexpr std::uint64_t kMaxTraceEvents = std::uint64_t{1} << 22;
+
+/// MTAT_TRACE_EVENTS's value check: a ring capacity in [1, kMaxTraceEvents],
+/// or nullopt for anything else.
+inline std::optional<std::size_t> parse_trace_events(const std::string& s) {
+  const auto v = parse_u64(s);
+  if (!v || *v == 0 || *v > kMaxTraceEvents) return std::nullopt;
+  return static_cast<std::size_t>(*v);
+}
+
 inline std::optional<std::string> env_string(const char* name) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return std::nullopt;
@@ -105,14 +120,14 @@ inline Env parse_env() {
   }
   if (const auto s = env_string("MTAT_TRACE")) e.trace_path = *s;
   if (const auto s = env_string("MTAT_TRACE_EVENTS")) {
-    const auto v = parse_u64(*s);
-    if (v && *v > 0) {
-      e.trace_events = static_cast<std::size_t>(*v);
+    if (const auto v = parse_trace_events(*s)) {
+      e.trace_events = *v;
     } else {
       std::fprintf(stderr,
-                   "warning: invalid MTAT_TRACE_EVENTS=%s (expected a positive integer); "
+                   "warning: invalid MTAT_TRACE_EVENTS=%s (expected an integer in [1, %llu]); "
                    "using default %zu\n",
-                   s->c_str(), e.trace_events);
+                   s->c_str(), static_cast<unsigned long long>(kMaxTraceEvents),
+                   e.trace_events);
     }
   }
   if (const auto s = env_string("MTAT_FAULTS")) e.faults = *s;

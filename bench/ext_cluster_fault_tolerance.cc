@@ -3,7 +3,7 @@
 // failure domain: per storm epoch the seed-deterministic injector crashes,
 // straggles, and blacks out nodes; the health watchdog suspects silent nodes
 // (3-down/5-up hysteresis); their tenants evacuate through the placement
-// policy under admission control; and crashed nodes restart warm (replaying
+// policy under admission control; and crashed nodes restart warm (restoring
 // their deterministic ColocationSim checkpoint) or cold (fresh boot straight
 // into traffic — the cold-page flood). Reports fleet SLO compliance during
 // the storm, the post-storm time-to-recover, and the failover event counts.
@@ -13,7 +13,7 @@
 // the storm, telemetry-aware placement routes demand away from sick nodes and
 // keeps the highest compliance, bin-packing is blind to health but still
 // spreads load, and random eats the storm raw: telemetry >= bin_packing >=
-// random. Warm restarts recover in fewer epochs than cold ones — a replayed
+// random. Warm restarts recover in fewer epochs than cold ones — a restored
 // checkpoint resumes with its hot pages already promoted, a cold boot pays
 // the flood. The whole grid is bit-identical across MTAT_JOBS and reruns.
 #include <algorithm>
@@ -33,8 +33,8 @@ int main() {
   const double peak = fmem_all_peak_krps(sc, redis, &runner, /*n_be=*/2);
   cluster::ClusterConfig cc = make_cluster_config(sc, redis, peak);
   // A faulted run costs several healthy runs (plan.epochs windows plus the
-  // checkpoint replay each warm epoch pays), so the grid runs on a reduced
-  // fleet with short windows; MTAT_NODES still overrides via the env.
+  // history each straggler replays), so the grid runs on a reduced fleet
+  // with short windows; MTAT_NODES still overrides via the env.
   if (!Env::get().nodes) cc.nodes = std::max(8, cc.nodes / 10);
   cc.settle = seconds(1);
   cc.probe_window = seconds(1);
@@ -74,7 +74,7 @@ int main() {
       faults::ClusterFaultPlan plan = faults::ClusterFaultPlan::storm(cell.intensity);
       plan.warm_restart = cell.warm;
       // A longer horizon than the storm() default: four storm epochs spread
-      // crashes past the first checkpoint (so warm restarts really replay
+      // crashes past the first checkpoint (so warm restarts really restore
       // state — a node that dies before completing an epoch has nothing to
       // warm from), and six recovery epochs give the watchdog's 5-clean
       // readmission ladder room to finish, making time-to-recover

@@ -45,9 +45,10 @@ struct NodeFailover {
   bool straggler = false;
   bool blacked_out = false;
   // Deterministic checkpoint the node continues from (active plans only):
-  // replayed on every later boot, warm restarts included. A straggler epoch
-  // is never checkpointed — its history ran under an in-node storm, so the
-  // node resumes from its last clean checkpoint.
+  // restored on every later boot, warm restarts included. A straggler
+  // replays it under its in-node storm on a copy that is then dropped: its
+  // epoch is never checkpointed, so the node resumes from its last clean
+  // checkpoint.
   std::optional<SimCheckpoint> checkpoint;
   // Watchdog ladder (suspect_after misses down, readmit_after exports up).
   int missed_exports = 0;
@@ -333,6 +334,8 @@ ClusterResult ClusterSim::run(const PlacementPolicy& policy,
     std::vector<experiments::RunSpec> specs;
     specs.reserve(n_nodes);
     const bool keep_metrics = cfg_.keep_node_metrics;
+    // No later epoch restores the last one's checkpoints.
+    const bool checkpoint = carry_checkpoints && e + 1 < epochs;
     for (NodeResult& nr : r.nodes) {
       NodeFailover& f = fo[static_cast<std::size_t>(nr.node_id)];
       if (f.down) {
@@ -344,23 +347,27 @@ ClusterResult ClusterSim::run(const PlacementPolicy& policy,
         nr.fmem_util_pct = kNan;
         continue;
       }
-      // Boot mode: continue from the checkpoint (replay), cold restart (no
-      // settle), or fresh boot plus settle. What the node simulates — boot
-      // and window — is what node_sim_seconds counts.
+      // Boot mode: continue from the checkpoint (restore; a straggler
+      // replays it), cold restart (no settle), or fresh boot plus settle.
+      // node_sim_seconds counts what the node simulates: settle, straggler
+      // replay and window.
       const Duration settle = f.checkpoint || f.cold_pending ? 0 : cfg_.settle;
-      node_sim_time += window + settle + (f.checkpoint ? f.checkpoint->replay_time() : 0);
+      const bool replays = f.checkpoint && f.straggler;
+      node_sim_time += window + settle + (replays ? f.checkpoint->replay_time() : 0);
       f.cold_pending = false;
       const double straggle = f.straggler ? plan.straggler_intensity : 0.0;
       specs.push_back(
           {"node" + std::to_string(nr.node_id) + "@" + std::to_string(nr.offered_krps) + "krps",
-           [this, &nr, &f, straggle, settle, window, keep_metrics,
-            carry_checkpoints](obs::RunContext& ctx) {
+           [this, &nr, &f, straggle, settle, window, keep_metrics, checkpoint,
+            replays](obs::RunContext& ctx) {
              // A straggler runs its whole epoch — checkpoint replay included —
              // under an in-node fault storm; the epoch is not checkpointed.
              if (straggle > 0.0) ctx.install_faults(faults::FaultPlan::storm(straggle));
              std::unique_ptr<ColocationSim> sim;
-             if (f.checkpoint) {
-               sim = ColocationSim::restore(*f.checkpoint, &ctx);  // bit-exact replay
+             if (replays) {
+               sim = ColocationSim::replay(*f.checkpoint, &ctx);
+             } else if (f.checkpoint) {
+               sim = ColocationSim::restore(*f.checkpoint, &ctx);
              } else {
                SimConfig ncfg = cfg_.node;
                ncfg.seed = node_seeds_[static_cast<std::size_t>(nr.node_id)];
@@ -391,7 +398,7 @@ ClusterResult ClusterSim::run(const PlacementPolicy& policy,
                ctx.metrics().write_csv(dump);
                nr.metrics_csv = dump.str();
              }
-             if (carry_checkpoints && !f.straggler) f.checkpoint = sim->snapshot();
+             if (checkpoint && !f.straggler) f.checkpoint = sim->snapshot();
            }});
     }
     if (runner != nullptr) {

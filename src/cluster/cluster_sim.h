@@ -1,7 +1,7 @@
 // Fleet-scale simulation: N tiered-memory nodes behind a tenant load balancer.
 //
-// ClusterSim is the sharded layer above ColocationSim (ROADMAP item 2): each
-// of cfg.nodes simulated servers wraps its own complete ColocationSim — own
+// ClusterSim is the sharded layer above ColocationSim: each of cfg.nodes
+// simulated servers wraps its own complete ColocationSim — own
 // tiered memory, migration engine, telemetry, LC queue, BE fleet, and
 // per-node placement policy — executed as one experiments::ParallelRunner
 // spec with a pre-seeded private obs::RunContext, so shards run on however
@@ -24,9 +24,11 @@
 // 3-down/5-up hysteresis ladder mirroring MtatPolicy's. Telemetry-aware
 // placement degrades bin-packing → random as blackout coverage rises.
 // Crashed nodes restart after the outage, warm from a deterministic
-// ColocationSim::snapshot() checkpoint or cold into a cold-page flood. The
-// final epoch always runs cfg.measure_window to produce the reported
-// aggregates.
+// ColocationSim::snapshot() checkpoint or cold into a cold-page flood. A
+// continuing node, or a warm restart, restores its checkpoint's compact
+// state; only a straggler re-simulates its history (ColocationSim::replay),
+// under its storm, on a copy that is dropped. The final epoch always runs
+// cfg.measure_window to produce the reported aggregates.
 //
 // A healthy fleet is simply an inert ClusterFaultPlan (!plan.any()): nothing
 // fires, nothing is fenced, the ladder never moves. Plan activity changes
@@ -147,9 +149,9 @@ struct ClusterResult {
   double fmem_util_pct = 0;        ///< mean node fast-tier utilization
   int overloaded_nodes = 0;        ///< nodes over 1% SLO violations
   int rebalanced_tenants = 0;      ///< placements that moved between rounds
-  /// Simulated node-time the run consumed (every epoch, settle and
-  /// checkpoint replay included): the denominator-free work measure the
-  /// benchmark of record rates against wall time (`sim_s_per_wall_s`).
+  /// Simulated node-time the run consumed: every window, every settle, and
+  /// every straggler's replay of its history. Restoring a checkpoint
+  /// simulates nothing, so it adds nothing.
   double node_sim_seconds = 0;
 
   // --- failure-domain outcomes (zero for healthy runs) ---------------------
@@ -157,7 +159,7 @@ struct ClusterResult {
   int node_crashes = 0;            ///< crash events injected
   int node_stragglers = 0;         ///< straggler epochs injected
   int node_blackouts = 0;          ///< blackout epochs injected
-  int warm_restarts = 0;           ///< checkpoint-replay restarts
+  int warm_restarts = 0;           ///< restarts from a checkpoint
   int cold_restarts = 0;           ///< from-scratch restarts (cold-page flood)
   int evacuations = 0;             ///< tenants moved off suspected nodes
   int failover_retries = 0;        ///< queued-tenant placement retries

@@ -1,5 +1,7 @@
 #include "common/latency_histogram.h"
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 Duration LatencyHistogram::value_for(std::size_t idx) {
@@ -45,6 +47,33 @@ void LatencyHistogram::reset() {
   sum_ = 0;
   max_ = 0;
   min_ = 0;
+}
+
+void LatencyHistogram::persist(StateArchive& ar) {
+  std::size_t nonzero = 0;
+  for (const std::uint64_t c : counts_) nonzero += c != 0 ? 1 : 0;
+  ar.length(nonzero);
+  if (ar.loading()) {
+    std::fill(counts_.begin(), counts_.end(), 0);
+    total_ = 0;
+  }
+  std::size_t next = 0;  // first bucket index the next pair may name
+  for (std::size_t k = 0; k < nonzero; ++k) {
+    std::size_t i = next;
+    if (!ar.loading())
+      while (counts_[i] == 0) ++i;
+    std::size_t gap = i - next;
+    ar(gap);
+    i = next + gap;
+    ar.check(gap < counts_.size() && i < counts_.size(), "latency bucket out of range");
+    ar(counts_[i]);
+    if (ar.loading()) {
+      ar.check(counts_[i] != 0 && total_ + counts_[i] > total_, "bad latency bucket count");
+      total_ += counts_[i];
+    }
+    next = i + 1;
+  }
+  ar(sum_, min_, max_);
 }
 
 }  // namespace mtat

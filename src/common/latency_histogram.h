@@ -17,6 +17,8 @@
 
 namespace mtat {
 
+class StateArchive;
+
 class LatencyHistogram {
  public:
   static constexpr int kExactValues = 64;       // values [0, 64) are exact
@@ -67,6 +69,10 @@ class LatencyHistogram {
 
   /// Upper-edge representative value of a bucket — exposed for tests.
   static Duration value_for(std::size_t idx);
+
+  /// Checkpoint codec (common/state_archive.h), sparse: the non-empty
+  /// buckets as (index gap, count) pairs, then sum, min and max.
+  void persist(StateArchive& ar);
 
  private:
   std::vector<std::uint64_t> counts_;

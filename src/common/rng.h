@@ -90,6 +90,13 @@ class Rng {
   /// Split off an independently-seeded child generator (for per-component RNGs).
   Rng split() { return Rng(next_u64() ^ 0xA5A5A5A5A5A5A5A5ull); }
 
+  /// The generator's cursor, for checkpoints (common/state_archive.h).
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(state_);
+    ar.check((state_[0] | state_[1] | state_[2] | state_[3]) != 0, "all-zero rng state");
+  }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
   std::uint64_t state_[4];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/state_archive.h"
 #include "obs/names.h"
 
 namespace mtat {
@@ -170,6 +171,14 @@ void MtatPolicy::on_interval(SimTime, Duration, Duration lc_p99) {
     transition_to(mode_ == ControlMode::kRl ? ControlMode::kHeuristic : ControlMode::kStatic);
   else if (healthy_streak_ >= wd_.recover_after && mode_ != ControlMode::kRl)
     transition_to(mode_ == ControlMode::kStatic ? ControlMode::kHeuristic : ControlMode::kRl);
+}
+
+void MtatPolicy::persist(StateArchive& ar) {
+  // The watchdog's arming follows the run context, not the history.
+  ar(*ppe_, *ppm_, mode_, unhealthy_streak_, healthy_streak_);
+  ar.check(mode_ == ControlMode::kRl || mode_ == ControlMode::kHeuristic ||
+               mode_ == ControlMode::kStatic,
+           "bad control mode");
 }
 
 }  // namespace mtat

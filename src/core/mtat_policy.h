@@ -87,6 +87,8 @@ class MtatPolicy : public TieringPolicy {
   /// must outlive the policy.
   void set_run_context(obs::RunContext* ctx);
 
+  void persist(StateArchive& ar) override;
+
  private:
   void transition_to(ControlMode next);
   /// One interval of the kHeuristic waterline controller.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/state_archive.h"
 #include "obs/names.h"
 
 namespace mtat {
@@ -307,6 +308,14 @@ void PartitionEnforcer::age_histograms() {
   if (++intervals_since_aging_ < opt_.age_every_intervals) return;
   intervals_since_aging_ = 0;
   for (auto& h : hist_) h->age();
+}
+
+void PartitionEnforcer::persist(StateArchive& ar) {
+  ar.fixed(quota_);
+  ar.fixed(delta_);
+  ar(intervals_since_aging_);
+  for (auto& h : hist_) ar(*h);
+  ar(plan_start_ts_, plan_start_pages_, plan_was_active_, stalled_ticks_);
 }
 
 }  // namespace mtat

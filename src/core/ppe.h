@@ -102,6 +102,10 @@ class PartitionEnforcer {
   /// PP-E.
   void set_run_context(obs::RunContext* ctx);
 
+  /// Checkpoint codec (common/state_archive.h): quotas, the open plan, the
+  /// aging phase and every tenant's histogram.
+  void persist(StateArchive& ar);
+
  private:
   // Candidate selection within one tenant's pages.
   PageId promote_candidate(std::size_t idx) const;  // SMem page worth promoting

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/state_archive.h"
 #include "obs/names.h"
 
 namespace mtat {
@@ -173,6 +174,18 @@ void PartitionPolicyMaker::set_run_context(obs::RunContext* ctx) {
     trace_ = &ctx->trace();
   }
   agent_->set_run_context(ctx);
+}
+
+void PartitionPolicyMaker::persist(StateArchive& ar) {
+  if (owned_agent_ == nullptr)
+    throw std::logic_error("PartitionPolicyMaker: a shared agent cannot be checkpointed");
+  ar(*agent_, rng_, max_access_count_, deterministic_, p99_smooth_, cooldown_left_, floor_pages_,
+     floor_count_level_, have_prev_, prev_state_, prev_action_, decisions_, rewards_,
+     last_action_ok_);
+  const SacConfig& sac = opt_.sac;
+  ar.check(!have_prev_ || (prev_state_.size() == static_cast<std::size_t>(sac.state_dim) &&
+                           prev_action_.size() == static_cast<std::size_t>(sac.action_dim)),
+           "pending transition has the wrong shape");
 }
 
 }  // namespace mtat

@@ -119,6 +119,11 @@ class PartitionPolicyMaker {
   /// to the agent; nullptr detaches. The context must outlive PP-M.
   void set_run_context(obs::RunContext* ctx);
 
+  /// Checkpoint codec (common/state_archive.h): the agent, the annealing
+  /// stream, the guard and floor memory, and the pending transition. Throws
+  /// std::logic_error for a shared agent, which is not this PP-M's state.
+  void persist(StateArchive& ar);
+
  private:
   std::vector<double> build_state(double usage_ratio, const IntervalCounters& c);
 

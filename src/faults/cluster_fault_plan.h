@@ -49,7 +49,7 @@ struct ClusterFaultPlan {
   double node_crash_prob = 0.0;  ///< per alive node per storm epoch
   /// Epochs a crashed node stays down before restarting.
   int outage_epochs = 2;
-  /// Restart mode: true = warm (replay the node's deterministic checkpoint,
+  /// Restart mode: true = warm (restore the node's deterministic checkpoint,
   /// so its tiered-memory/hotness state is bit-exactly reconstructed), false
   /// = cold (fresh sim, empty journal, no settle phase — the cold-page
   /// flood case).

@@ -25,6 +25,11 @@ class LatencyRecorder {
     std::uint64_t count = 0;
     double mean = 0.0;  ///< mean sojourn, ns
     Duration p99 = 0;
+
+    template <class Ar>
+    void persist(Ar& ar) {
+      ar(count, mean, p99);
+    }
   };
 
   LatencyRecorder(Duration window, Duration slo) : window_(window), slo_(slo) {
@@ -77,6 +82,13 @@ class LatencyRecorder {
   double violation_rate() const {
     return total_ == 0 ? 0.0
                        : static_cast<double>(violations_) / static_cast<double>(total_);
+  }
+
+  /// Checkpoint codec (common/state_archive.h): closed-window summaries,
+  /// both live histograms (sparse) and the request totals.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(closed_, open_, interval_, total_, violations_);
   }
 
  private:

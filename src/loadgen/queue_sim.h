@@ -127,6 +127,27 @@ class QueueSim {
     return out;
   }
 
+  /// Checkpoint codec (common/state_archive.h). The pattern is not state:
+  /// every run() installs its own. Pending completions are stored in
+  /// ascending order, which is all the min-heap's behaviour depends on.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(recorder_, rng_);
+    ar.fixed(free_at_);
+    ar.check(std::is_heap(free_at_.begin(), free_at_.end(), std::greater<>()),
+             "server free times are not a heap");
+    std::vector<SimTime> pending;
+    if (!ar.loading())
+      for (auto q = pending_done_; !q.empty(); q.pop()) pending.push_back(q.top());
+    ar(pending);
+    if (ar.loading()) {
+      pending_done_ = {};
+      for (const SimTime t : pending) pending_done_.push(t);
+    }
+    ar(pattern_start_, last_arrival_, next_arrival_, idle_probe_, completed_, interval_mark_,
+       in_overload_);
+  }
+
  private:
   void schedule_next_arrival(SimTime now) {
     const double rate = pattern_->rate_at(now - std::min(now, pattern_start_));

@@ -104,6 +104,13 @@ class AddressSpace {
   const std::vector<PageId>& pages() const { return pages_; }
   TieredMemory& memory() const { return *mem_; }
 
+  /// Checkpoint codec (common/state_archive.h): the access count that
+  /// phases the 1-in-N sampling.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(accesses_);
+  }
+
  private:
   static constexpr std::size_t kBatch = 64;  ///< samples per observer call
 

@@ -206,6 +206,19 @@ class MigrationEngine {
   const Config& config() const { return cfg_; }
   double link_bandwidth(std::size_t k) const { return link_bw_[k]; }
 
+  /// Checkpoint codec (common/state_archive.h): per-link budgets and refill
+  /// carries, the interval and lifetime move counts, and the fault backoff
+  /// ladder (which only a run with a fault injector can be on).
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar.fixed(budget_);
+    ar.fixed(carry_);
+    ar(moved_this_interval_, total_moved_, last_begin_ts_, last_dt_, failure_streak_,
+       backoff_level_, backoff_remaining_, retry_pending_);
+    ar.check(faults_ != nullptr || (backoff_remaining_ == 0 && !retry_pending_),
+             "migration backoff state without a fault injector");
+  }
+
  private:
   /// One-link move of `p` from tier `from` to the adjacent tier `to`.
   bool step(PageId p, TierId from, TierId to) {

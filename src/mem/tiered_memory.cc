@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 TieredMemory::TieredMemory(const Config& cfg) : cfg_(cfg) {
@@ -104,6 +106,43 @@ void TieredMemory::exchange(PageId a, PageId b) {
   if (ta == tb) throw std::logic_error("TieredMemory::exchange: pages share a tier");
   place(a, tb);
   place(b, ta);
+}
+
+void TieredMemory::persist(StateArchive& ar) {
+  const std::size_t tiers = tier_count();
+  unsigned bits = 1;  // per page: 1 bit at two tiers, 2 at three or four, 3 beyond
+  while ((std::size_t{1} << bits) < tiers) ++bits;
+  std::string packed((info_.size() * bits + 7) / 8, '\0');
+  const auto bit_at = [&packed](std::size_t i) {
+    return (static_cast<unsigned char>(packed[i / 8]) >> (i % 8)) & 1u;
+  };
+  if (!ar.loading())
+    for (std::size_t p = 0; p < info_.size(); ++p)
+      for (unsigned b = 0; b < bits; ++b)
+        if ((info_[p].tier >> b) & 1u) {
+          const std::size_t i = p * bits + b;
+          packed[i / 8] = static_cast<char>(packed[i / 8] | (1 << (i % 8)));
+        }
+  const std::size_t expected = packed.size();
+  ar(packed);
+  ar.check(packed.size() == expected, "page tier vector length differs");
+  ar.fixed(contention_);
+  ar(migrations_);
+  if (!ar.loading()) return;
+  std::fill(used_.begin(), used_.end(), 0);
+  for (WorkloadPages& wl : per_workload_) wl.in_tier.fill(0);
+  for (std::size_t p = 0; p < info_.size(); ++p) {
+    unsigned t = 0;
+    for (unsigned b = 0; b < bits; ++b) t |= bit_at(p * bits + b) << b;
+    ar.check(t < tiers, "page tier out of range");
+    info_[p].tier = static_cast<TierId>(t);
+    ++used_[t];
+    ++per_workload_[info_[p].owner].in_tier[t];
+  }
+  for (std::size_t t = 0; t < tiers; ++t) {
+    ar.check(used_[t] <= capacity(static_cast<TierId>(t)), "tier over capacity");
+    ar.check(contention_[t] >= 1.0, "contention factor below 1");
+  }
 }
 
 }  // namespace mtat

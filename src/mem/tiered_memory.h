@@ -25,6 +25,8 @@
 
 namespace mtat {
 
+class StateArchive;
+
 /// One tier of the topology, in fastest-to-slowest order. `link_bandwidth`
 /// describes migration link k — the channel between this tier k and the next
 /// slower tier k+1 — so the last tier's value is unused. The defaults are the
@@ -197,6 +199,12 @@ class TieredMemory {
   /// alive for as long as pages can still migrate (telemetry/ and workload
   /// models register themselves for their own lifetime).
   void add_migration_listener(MigrationListener* l, WorkloadId owner = kInvalidWorkload);
+
+  /// Checkpoint codec (common/state_archive.h): every page's tier,
+  /// bit-packed, plus the contention factors and the migration count.
+  /// Owners are fixed at boot; the per-tier and per-workload counts are
+  /// recomputed on load. Listeners are not told: each keeps its own state.
+  void persist(StateArchive& ar);
 
  private:
   struct PageInfo {

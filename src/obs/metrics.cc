@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
+#include "common/state_archive.h"
 #include "obs/json.h"
+#include "obs/names.h"
 
 namespace mtat::obs {
 
@@ -21,7 +23,34 @@ const typename Map::mapped_type::element_type* find_in(const Map& map,
   return it == map.end() ? nullptr : it->second.get();
 }
 
+template <typename Map>
+void persist_map(StateArchive& ar, Map& map) {
+  std::size_t n = 0;
+  for (const auto& entry : map) n += names::is_wall_time_metric(entry.first) ? 0 : 1;
+  ar.length(n);
+  if (!ar.loading()) {
+    for (auto& [name, metric] : map) {
+      if (names::is_wall_time_metric(name)) continue;
+      std::string key = name;
+      ar(key, *metric);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string name;
+    ar(name);
+    ar.check(!names::is_wall_time_metric(name), "wall-time metric in a sim state");
+    ar(get_or_create(map, name));
+  }
+}
+
 }  // namespace
+
+void MetricsRegistry::persist(StateArchive& ar) {
+  persist_map(ar, counters_);
+  persist_map(ar, gauges_);
+  persist_map(ar, histograms_);
+}
 
 Counter& MetricsRegistry::counter(const std::string& name) {
   return get_or_create(counters_, name);

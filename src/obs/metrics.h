@@ -28,6 +28,10 @@
 
 #include "common/latency_histogram.h"
 
+namespace mtat {
+class StateArchive;
+}  // namespace mtat
+
 namespace mtat::obs {
 
 class Counter {
@@ -35,6 +39,10 @@ class Counter {
   void inc(double n = 1.0) { v_ += n; }
   double value() const { return v_; }
   void reset() { v_ = 0.0; }
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(v_);
+  }
 
  private:
   double v_ = 0.0;
@@ -46,6 +54,10 @@ class Gauge {
   /// Keep the running maximum instead of the last write (watermarks).
   void set_max(double v) { v_ = v > v_ ? v : v_; }
   double value() const { return v_; }
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(v_);
+  }
 
  private:
   double v_ = 0.0;
@@ -61,6 +73,10 @@ class Histogram {
   std::uint64_t min() const { return h_.min(); }
   std::uint64_t max() const { return h_.max(); }
   void reset() { h_.reset(); }
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(h_);
+  }
 
  private:
   LatencyHistogram h_;
@@ -88,6 +104,12 @@ class MetricsRegistry {
   /// Flat CSV: kind,name,field,value — one row per scalar, several per
   /// histogram. Grep-friendly counterpart of the JSON dump.
   void write_csv(std::ostream& os) const;
+
+  /// Checkpoint codec (common/state_archive.h): every metric's value by
+  /// name, except the wall-time ones (names::is_wall_time_metric), which
+  /// measure the host, not the simulation. Loading creates missing metrics
+  /// and leaves unnamed ones as they are.
+  void persist(StateArchive& ar);
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;

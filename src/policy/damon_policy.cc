@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 DamonPolicy::DamonPolicy(const PolicyContext& ctx) : DamonPolicy(ctx, Options{}) {}
@@ -92,6 +94,18 @@ void DamonPolicy::on_tick(SimTime, Duration) {
     if (!ctx_.engine->exchange(up, down)) return;
     ++moves;
   }
+}
+
+void DamonPolicy::persist(StateArchive& ar) {
+  for (auto& m : monitors_) ar(*m);
+  ar(wanted_, evictable_, want_idx_, want_page_, evict_idx_, evict_page_);
+  for (const auto* list : {&wanted_, &evictable_})
+    for (const RankedRegion& r : *list)
+      ar.check(r.tenant < monitors_.size() && r.begin <= r.end &&
+                   r.end <= monitors_[r.tenant]->footprint_pages(),
+               "ranked region out of range");
+  ar.check(want_idx_ <= wanted_.size() && evict_idx_ <= evictable_.size(),
+           "region cursor out of range");
 }
 
 }  // namespace mtat

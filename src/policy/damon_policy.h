@@ -33,6 +33,7 @@ class DamonPolicy : public TieringPolicy {
   std::string name() const override { return "damon"; }
   void on_tick(SimTime now, Duration dt) override;
   void on_interval(SimTime now, Duration interval, Duration lc_p99) override;
+  void persist(StateArchive& ar) override;
 
   const RegionMonitor& monitor(std::size_t tenant) const { return *monitors_[tenant]; }
 
@@ -41,6 +42,11 @@ class DamonPolicy : public TieringPolicy {
     std::size_t tenant = 0;
     std::uint64_t begin = 0, end = 0;  // vpages within the tenant
     double density = 0;
+
+    template <class Ar>
+    void persist(Ar& ar) {
+      ar(tenant, begin, end, density);
+    }
   };
 
   PageId page_at(std::size_t tenant, std::uint64_t vpage) const {

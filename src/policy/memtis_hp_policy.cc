@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 MemtisHpPolicy::MemtisHpPolicy(const PolicyContext& ctx) : MemtisHpPolicy(ctx, Options{}) {}
@@ -104,6 +106,15 @@ void MemtisHpPolicy::on_interval(SimTime, Duration, Duration) {
     hist_.age();
     intervals_since_cooling_ = 0;
   }
+}
+
+void MemtisHpPolicy::persist(StateArchive& ar) {
+  ar(hist_);
+  ar.fixed(blocks_);
+  ar.fixed(seen_);
+  ar(pending_blocks_, intervals_since_cooling_, block_promotions_);
+  for (const std::uint64_t blk : pending_blocks_)
+    ar.check(blk < blocks_.size(), "pending block out of range");
 }
 
 }  // namespace mtat

@@ -42,6 +42,7 @@ class MemtisHpPolicy : public TieringPolicy {
   std::string name() const override { return "memtis_hp"; }
   void on_tick(SimTime now, Duration dt) override;
   void on_interval(SimTime now, Duration interval, Duration lc_p99) override;
+  void persist(StateArchive& ar) override;
 
   /// Number of whole-block promotions performed so far (for tests).
   std::uint64_t block_promotions() const { return block_promotions_; }
@@ -51,6 +52,11 @@ class MemtisHpPolicy : public TieringPolicy {
   struct Block {
     std::uint32_t count = 0;     ///< sampled accesses this window
     std::uint16_t distinct = 0;  ///< distinct frames sampled this window
+
+    template <class Ar>
+    void persist(Ar& ar) {
+      ar(count, distinct);
+    }
   };
 
   void on_sample(PageId p);

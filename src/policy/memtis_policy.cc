@@ -1,5 +1,7 @@
 #include "policy/memtis_policy.h"
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 MemtisPolicy::MemtisPolicy(const PolicyContext& ctx) : MemtisPolicy(ctx, Options{}) {}
@@ -43,5 +45,7 @@ void MemtisPolicy::on_interval(SimTime, Duration, Duration) {
     intervals_since_cooling_ = 0;
   }
 }
+
+void MemtisPolicy::persist(StateArchive& ar) { ar(hist_, intervals_since_cooling_); }
 
 }  // namespace mtat

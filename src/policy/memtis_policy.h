@@ -35,6 +35,7 @@ class MemtisPolicy : public TieringPolicy {
   std::string name() const override { return "memtis"; }
   void on_tick(SimTime now, Duration dt) override;
   void on_interval(SimTime now, Duration interval, Duration lc_p99) override;
+  void persist(StateArchive& ar) override;
 
   const PageHotness& histogram() const { return hist_; }
 

@@ -11,6 +11,7 @@
 // scheme can out-migrate the platform's bandwidth.
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "telemetry/access_sampler.h"
 
 namespace mtat {
+
+class StateArchive;
 
 /// What a policy is told about each co-located tenant.
 struct TenantInfo {
@@ -56,6 +59,13 @@ class TieringPolicy {
   /// elapsed interval (0 when no requests completed) — PP-M's reward input;
   /// baselines are free to ignore it.
   virtual void on_interval(SimTime now, Duration interval, Duration lc_p99) = 0;
+
+  /// Save or load the policy's mutable state (common/state_archive.h) for a
+  /// ColocationSim checkpoint. A policy that does not override it cannot be
+  /// checkpointed.
+  virtual void persist(StateArchive&) {
+    throw std::logic_error(name() + ": policy has no checkpoint codec");
+  }
 };
 
 }  // namespace mtat

@@ -20,6 +20,7 @@ class StaticPolicy : public TieringPolicy {
   std::string name() const override { return kind_ == Kind::kFMemAll ? "fmem_all" : "smem_all"; }
   void on_tick(SimTime, Duration) override {}
   void on_interval(SimTime, Duration, Duration) override {}
+  void persist(StateArchive&) override {}  // stateless
 
   Kind kind() const { return kind_; }
 

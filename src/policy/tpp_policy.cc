@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 TppPolicy::TppPolicy(const PolicyContext& ctx) : TppPolicy(ctx, Options{}) {}
@@ -80,6 +82,24 @@ void TppPolicy::on_tick(SimTime, Duration) {
 
 void TppPolicy::on_interval(SimTime, Duration, Duration) {
   // TPP has no interval-scale decision process; everything is fault-driven.
+}
+
+void TppPolicy::persist(StateArchive& ar) {
+  ar.fixed(last_seen_tick_);
+  ar.fixed(ref_bit_);
+  ar.fixed(clock_hand_);
+  ar(tick_no_);
+  // queued_ marks exactly the pages in the promotion queue, so only the
+  // queue is stored.
+  std::vector<PageId> queue(promote_queue_.begin(), promote_queue_.end());
+  ar(queue);
+  if (!ar.loading()) return;
+  std::fill(queued_.begin(), queued_.end(), 0);
+  for (const PageId p : queue) {
+    ar.check(p < queued_.size() && !queued_[p], "bad promotion queue entry");
+    queued_[p] = 1;
+  }
+  promote_queue_.assign(queue.begin(), queue.end());
 }
 
 }  // namespace mtat

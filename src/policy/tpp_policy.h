@@ -37,6 +37,7 @@ class TppPolicy : public TieringPolicy {
   std::string name() const override { return "tpp"; }
   void on_tick(SimTime now, Duration dt) override;
   void on_interval(SimTime now, Duration interval, Duration lc_p99) override;
+  void persist(StateArchive& ar) override;
 
  private:
   void on_sample(PageId p);

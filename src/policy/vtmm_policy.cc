@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 VtmmPolicy::VtmmPolicy(const PolicyContext& ctx) : VtmmPolicy(ctx, Options{}) {}
@@ -49,5 +51,7 @@ void VtmmPolicy::on_interval(SimTime, Duration, Duration) {
   ppe_->set_plan(quotas);
   ppe_->age_histograms();
 }
+
+void VtmmPolicy::persist(StateArchive& ar) { ar(*ppe_); }
 
 }  // namespace mtat

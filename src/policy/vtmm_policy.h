@@ -36,6 +36,7 @@ class VtmmPolicy : public TieringPolicy {
   std::string name() const override { return "vtmm"; }
   void on_tick(SimTime now, Duration dt) override;
   void on_interval(SimTime now, Duration interval, Duration lc_p99) override;
+  void persist(StateArchive& ar) override;
 
   PartitionEnforcer& enforcer() { return *ppe_; }
 

@@ -79,6 +79,17 @@ class Mlp {
   const std::vector<double>& parameters() const { return params_; }
   const std::vector<double>& gradients() const { return grads_; }
 
+  /// Checkpoint codec (common/state_archive.h): parameters, gradients and
+  /// the Adam moments and step. The shape is the config's.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar.fixed(params_);
+    ar.fixed(grads_);
+    ar.fixed(adam_m_);
+    ar.fixed(adam_v_);
+    ar(adam_t_);
+  }
+
  private:
   struct Layer {
     std::size_t w_off;  // into params_: out x in row-major weights

@@ -15,6 +15,11 @@ struct Transition {
   double reward = 0.0;
   std::vector<double> next_state;
   bool done = false;
+
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(state, action, reward, next_state, done);
+  }
 };
 
 class ReplayBuffer {
@@ -40,8 +45,18 @@ class ReplayBuffer {
   }
 
   std::size_t size() const { return storage_.size(); }
+  const Transition& at(std::size_t i) const { return storage_[i]; }
   std::size_t capacity() const { return capacity_; }
   bool empty() const { return storage_.empty(); }
+
+  /// Checkpoint codec (common/state_archive.h): the ring and its cursor.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(next_, storage_);
+    ar.check(storage_.size() <= capacity_ && next_ < capacity_ &&
+                 (storage_.size() == capacity_ || next_ == storage_.size()),
+             "replay ring cursor out of range");
+  }
 
  private:
   std::size_t capacity_;

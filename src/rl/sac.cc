@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/state_archive.h"
 #include "faults/fault_injector.h"
 #include "obs/names.h"
 
@@ -306,6 +307,18 @@ void SacAgent::update_once() {
   q1_target_.soft_update_from(q1_, cfg_.tau);
   q2_target_.soft_update_from(q2_, cfg_.tau);
   ++updates_;
+}
+
+void SacAgent::persist(StateArchive& ar) {
+  ar(rng_, actor_, q1_, q2_, q1_target_, q2_target_, log_alpha_, alpha_m_, alpha_v_, alpha_t_,
+     buffer_, last_critic_loss_, last_actor_loss_, updates_);
+  for (std::size_t i = 0; i < buffer_.size(); ++i) {
+    const Transition& t = buffer_.at(i);
+    ar.check(t.state.size() == static_cast<std::size_t>(cfg_.state_dim) &&
+                 t.next_state.size() == static_cast<std::size_t>(cfg_.state_dim) &&
+                 t.action.size() == static_cast<std::size_t>(cfg_.action_dim),
+             "replay transition has the wrong shape");
+  }
 }
 
 }  // namespace mtat

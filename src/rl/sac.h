@@ -19,6 +19,8 @@
 
 namespace mtat {
 
+class StateArchive;
+
 struct SacConfig {
   int state_dim = 3;   ///< paper: UsageRatio, AccessRatio, AccessCount
   int action_dim = 1;  ///< paper: scalar FMem delta
@@ -77,6 +79,11 @@ class SacAgent {
   std::array<const Mlp*, 5> networks() const {
     return {&actor_, &q1_, &q2_, &q1_target_, &q2_target_};
   }
+
+  /// Checkpoint codec (common/state_archive.h): the sampling stream, all
+  /// five networks with their optimizer state, the temperature and its
+  /// Adam state, the replay buffer and the update counters.
+  void persist(StateArchive& ar);
 
  private:
   /// Squashed-Gaussian draws for a batch of actor heads: the action in

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/state_archive.h"
 #include "obs/names.h"
 
 namespace mtat {
@@ -362,11 +363,44 @@ SimResult ColocationSim::result() const {
   return r;
 }
 
+void ColocationSim::persist(StateArchive& ar) {
+  ar(now_, next_interval_, bw_factor_);
+  ar(*mem_, *engine_, *sampler_, *lc_);
+  for (auto& be : be_) ar(*be);
+  ar(*queue_, *policy_);
+  ar(series_, measured_lat_, measured_requests_, measured_violations_);
+  ar.fixed(be_measured_iters_);
+  ar(measured_time_, pages_moved_mark_, pages_moved_measured_);
+  ar(ctx_->metrics());
+  if (ar.loading()) {
+    policy_wall_mark_ = policy_wall_c_->value();
+    measured_intervals_mark_ = measured_intervals_c_->value();
+  }
+}
+
+SimCheckpoint ColocationSim::snapshot() const {
+  if (cfg_.shared_agent != nullptr)
+    throw std::logic_error("ColocationSim::snapshot: a shared agent is not this sim's state");
+  StateArchive ar;
+  const_cast<ColocationSim*>(this)->persist(ar);  // saving only reads
+  return {cfg_, journal_, ar.finish()};
+}
+
 std::unique_ptr<ColocationSim> ColocationSim::restore(const SimCheckpoint& cp,
                                                       obs::RunContext* ctx) {
+  StateArchive ar(cp.state);  // checks the frame before paying for a boot
+  auto sim = std::make_unique<ColocationSim>(cp.config, ctx);
+  sim->persist(ar);
+  ar.finish_load();
+  sim->journal_ = cp.ops;
+  return sim;
+}
+
+std::unique_ptr<ColocationSim> ColocationSim::replay(const SimCheckpoint& cp,
+                                                     obs::RunContext* ctx) {
   auto sim = std::make_unique<ColocationSim>(cp.config, ctx);
   // Replaying through the public entry points re-journals each op, so the
-  // restored sim's own snapshot() equals the original's.
+  // replayed sim's own snapshot() equals the original's.
   for (const SimCheckpoint::Op& op : cp.ops) {
     if (op.kind == SimCheckpoint::Op::Kind::kRun)
       sim->run(op.pattern, op.duration, op.measure);

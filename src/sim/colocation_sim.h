@@ -129,6 +129,12 @@ struct TimePoint {
   double lc_fmem_share = 0;   ///< LC pages in FMem / FMem capacity (Figure 5)
   std::vector<double> be_fmem_share;   ///< per BE, of FMem capacity
   std::vector<double> be_throughput;   ///< per BE, iterations/s this interval
+
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(t_sec, offered_rps, lc_p99_ms, lc_throughput_rps, lc_fmem_ratio, lc_fmem_share,
+       be_fmem_share, be_throughput);
+  }
 };
 
 /// Aggregates over the measured portion of a run.
@@ -151,14 +157,18 @@ struct SimResult {
 };
 
 /// A deterministic checkpoint of a ColocationSim (DESIGN.md §17): the
-/// construction config plus the journal of every run()/reset_stats() call the
-/// sim has executed. Under the determinism contract the sim's entire state —
-/// tiered-memory occupancy, the PageHotness SoA histograms, policy/PP-E
-/// state, every RNG cursor — is a pure function of (config, op sequence), so
-/// restoring by replaying the journal into a fresh instance reconstructs it
-/// bit-exactly (enforced by tests/checkpoint_test.cc and the cluster
-/// warm-restart path). Ops hold copies of their LoadPatterns: a checkpoint is
-/// plain data that can outlive the sim and cross threads.
+/// construction config, the compact `state` every mutable field of the sim
+/// was saved into (common/state_archive.h), and the journal of every
+/// run()/reset_stats() call the sim has executed.
+///
+/// restore() boots a fresh sim from the config and loads the state, at a
+/// cost proportional to the state, not the history. The journal is the
+/// reference semantics: under the determinism contract the sim's state is a
+/// pure function of (config, op sequence), so replay() re-executing it into
+/// a fresh instance reaches the same state bit for bit (enforced by
+/// tests/checkpoint_test.cc and tests/checkpoint_state_test.cc). Ops hold
+/// copies of their LoadPatterns: a checkpoint is plain data that can outlive
+/// the sim and cross threads.
 struct SimCheckpoint {
   struct Op {
     enum class Kind { kRun, kResetStats };
@@ -169,9 +179,12 @@ struct SimCheckpoint {
   };
   SimConfig config;
   std::vector<Op> ops;
+  /// The saved state: no host wall-time measurement is part of it, so equal
+  /// histories give equal bytes.
+  std::string state;
 
-  /// Total simulated time replaying the journal costs — what a warm restart
-  /// pays to reconstruct the node.
+  /// Total simulated time replaying the journal costs — what replay() pays
+  /// to reconstruct the node.
   Duration replay_time() const {
     Duration t = 0;
     for (const Op& op : ops)
@@ -206,20 +219,29 @@ class ColocationSim {
   /// between a training phase and the measured phase.
   void reset_stats();
 
-  /// Checkpoint this sim: its construction config plus the full op journal
-  /// (see SimCheckpoint). O(journal length); no simulation state is copied.
-  SimCheckpoint snapshot() const { return {cfg_, journal_}; }
+  /// Checkpoint this sim: its config, its op journal and its saved state
+  /// (see SimCheckpoint). O(state + journal). Throws std::logic_error when
+  /// the config names a shared_agent, which is not this sim's state. A fault
+  /// injector is the run context's, not the sim's, and is not saved either.
+  SimCheckpoint snapshot() const;
 
-  /// Rebuild a sim from a checkpoint by constructing a fresh instance and
-  /// replaying the journal — bit-exact vs. the snapshotted sim, including its
-  /// measurement bookkeeping and metrics registry (minus wall-time metrics).
-  /// The replayed ops re-enter the new sim's journal, so a restored sim's own
-  /// snapshot() equals the original's. `ctx` follows the constructor's
-  /// contract; a checkpoint whose config names a shared_agent replays its
-  /// learning into that same agent, so restoring it is only deterministic
-  /// when the agent is private to this sim's history.
+  /// Rebuild a sim from a checkpoint without re-simulating anything: boot a
+  /// fresh instance from cp.config (the boot is memoized, DESIGN.md §14.6),
+  /// load cp.state, and take cp.ops as its journal. The result matches the
+  /// snapshotted sim bit for bit, including its measurement bookkeeping and
+  /// metrics registry (minus wall-time metrics, which restart here), and its
+  /// own snapshot() equals cp. `ctx` follows the constructor's contract.
+  /// Throws std::invalid_argument on a truncated, extended or garbled state.
   static std::unique_ptr<ColocationSim> restore(const SimCheckpoint& cp,
                                                 obs::RunContext* ctx = nullptr);
+
+  /// Rebuild a sim by re-executing cp.ops in a fresh instance: the reference
+  /// semantics restore() is tested against, and the path for a history that
+  /// must run again under `ctx`'s fault injector (a fleet straggler). The
+  /// replayed ops re-enter the new journal, so the result's snapshot() equals
+  /// cp. Costs cp.replay_time() of simulation.
+  static std::unique_ptr<ColocationSim> replay(const SimCheckpoint& cp,
+                                               obs::RunContext* ctx = nullptr);
 
   /// Structural state digest for checkpoint verification: the sim clock,
   /// per-tier occupancy, per-workload per-tier page counts, and every
@@ -254,6 +276,9 @@ class ColocationSim {
   obs::RunContext& run_context() { return *ctx_; }
 
  private:
+  /// Saves or loads every mutable field (common/state_archive.h): the
+  /// clock, each component, the measurement bookkeeping and the registry.
+  void persist(StateArchive& ar);
   void record_interval(double offered_rps, Duration lc_p99, Duration interval);
   void apply_contention(double lc_offered_rps);
   void update_derived_gauges();
@@ -303,6 +328,8 @@ class ColocationSim {
   Duration measured_time_ = 0;
   double pages_moved_mark_ = 0;      // counter value at reset_stats
   double pages_moved_measured_ = 0;  // counter delta as of the last interval
+  // The wall-based proxy's window: host time is not sim state, so restore()
+  // restarts the window at the load instead of storing these.
   double policy_wall_mark_ = 0;
   double measured_intervals_mark_ = 0;
   TierValues bw_factor_{};  // damped contention factors, one per tier

@@ -56,6 +56,11 @@ struct IntervalCounters {
     const std::uint64_t t = total();
     return t == 0 ? 1.0 : static_cast<double>(fmem_accesses()) / static_cast<double>(t);
   }
+
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(reads, writes, tier_accesses);
+  }
 };
 
 class AccessSampler : public AccessObserver {
@@ -136,6 +141,14 @@ class AccessSampler : public AccessObserver {
   std::uint64_t to_true_count(std::uint64_t sampled) const { return sampled * sample_period_; }
 
   std::uint64_t sample_period() const { return sample_period_; }
+
+  /// Checkpoint codec (common/state_archive.h): the open and cumulative
+  /// counters of every workload. Sinks and callbacks are wiring, not state.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(current_, cumulative_);
+    ar.check(current_.size() == cumulative_.size(), "sampler counter tables differ in length");
+  }
 
  private:
   static constexpr std::size_t kAhead = 8;  ///< page-info prefetch distance, in samples

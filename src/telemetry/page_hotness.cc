@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 PageHotness::PageHotness(TieredMemory& mem, WorkloadId workload_filter)
@@ -191,6 +193,67 @@ std::uint64_t PageHotness::pages_at_or_above_total(int b) const {
   std::uint64_t n = 0;
   for (std::size_t t = 0; t < tiers_.size(); ++t) n += pages_at_or_above(static_cast<TierId>(t), b);
   return n;
+}
+
+void PageHotness::persist(StateArchive& ar) {
+  ar(epoch_, ages_since_renorm_);
+  if (ar.loading()) {
+    std::fill(words_.begin(), words_.end(), 0);
+    for (TierBins& tb : tiers_) {
+      tb.bin0.clear();
+      for (std::vector<PageId>& v : tb.ring) v.clear();
+    }
+    base_ = 0;
+    tracked_ = 0;
+  }
+  // One varint per page: the zigzagged gap from the previous id in the bin,
+  // shifted left by b-1 bits that carry the count's offset into its bin
+  // ([2^(b-1), 2^b) for 1 <= b < kBins-1, so bin 1 needs no bits). Bin 0
+  // holds only count 0; the saturated top bin stores its offset separately.
+  for (int t = 0; t < static_cast<int>(tiers_.size()); ++t) {
+    for (int b = 0; b < kBins; ++b) {
+      const int k = b == 0 || b == kBins - 1 ? 0 : b - 1;
+      const std::uint32_t floor = b == 0 ? 0 : 1u << (b - 1);
+      std::vector<PageId>& bin = bin_ref(t, b);
+      std::size_t n = bin.size();
+      ar.length(n);
+      if (ar.loading()) bin.reserve(n);
+      std::int64_t prev = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!ar.loading()) {
+          const std::int64_t gap = static_cast<std::int64_t>(bin[i]) - prev;
+          const std::uint64_t zz =
+              (static_cast<std::uint64_t>(gap) << 1) ^ static_cast<std::uint64_t>(gap >> 63);
+          std::uint64_t offset = effective_of(words_[bin[i]]) - floor;
+          std::uint64_t code = zz << k | (k > 0 ? offset : 0);
+          ar.varint(code);
+          if (b == kBins - 1) ar.varint(offset);
+          prev = bin[i];
+          continue;
+        }
+        std::uint64_t code = 0, offset = 0;
+        ar.varint(code);
+        if (b == kBins - 1) ar.varint(offset);
+        if (k > 0) offset = code & ((std::uint64_t{1} << k) - 1);
+        const std::uint64_t zz = code >> k;
+        const auto gap = static_cast<std::int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
+        ar.check(gap >= -prev && gap < static_cast<std::int64_t>(mem_->page_count()) - prev,
+                 "hotness page id out of range");
+        ar.check(offset <= 0xFFFFFFFFu - floor, "hotness count out of range");
+        const auto p = static_cast<PageId>(prev + gap);
+        ar.check(mem_->tier_of(p) == t, "hotness tier differs from the page's");
+        ar.check(filter_ == kInvalidWorkload || mem_->owner_of(p) == filter_,
+                 "hotness page of another workload");
+        ensure(p);
+        ar.check(!(words_[p] & kTrackedBit), "hotness page listed twice");
+        words_[p] = kTrackedBit | packed_tier(t) | packed_epoch() | (floor + offset);
+        pos_[p] = static_cast<std::uint32_t>(bin.size());
+        bin.push_back(p);
+        ++tracked_;
+        prev = p;
+      }
+    }
+  }
 }
 
 }  // namespace mtat

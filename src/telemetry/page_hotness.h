@@ -43,6 +43,8 @@
 
 namespace mtat {
 
+class StateArchive;
+
 class PageHotness : public MigrationListener {
  public:
   static constexpr int kBins = 32;
@@ -169,6 +171,12 @@ class PageHotness : public MigrationListener {
   std::uint32_t age_epoch() const { return epoch_; }
   WorkloadId workload_filter() const { return filter_; }
   std::size_t tier_count() const { return tiers_.size(); }
+
+  /// Checkpoint codec (common/state_archive.h). Each tier's bins are stored
+  /// in logical order, bin 0 first, as delta-coded page ids that carry each
+  /// page's effective count in their low bits. Loading rebuilds the packed
+  /// words at the current epoch, the bins (with base 0) and the slot index.
+  void persist(StateArchive& ar);
 
   /// The bin rule, exposed for tests: 0 -> 0, c >= 1 -> 1 + floor(log2(c)).
   static int bin_of(std::uint32_t c) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/state_archive.h"
+
 namespace mtat {
 
 RegionMonitor::RegionMonitor(std::uint64_t footprint_pages, Options opt)
@@ -104,6 +106,16 @@ std::vector<RegionMonitor::Region> RegionMonitor::aggregate() {
   split_pass(total);
   for (Region& r : regions_) r.count = 0;
   return snapshot;
+}
+
+void RegionMonitor::persist(StateArchive& ar) {
+  ar(rng_, regions_);
+  std::uint64_t at = 0;
+  for (const Region& r : regions_) {
+    ar.check(r.begin == at && r.end >= r.begin, "regions do not tile the footprint");
+    at = r.end;
+  }
+  ar.check(!regions_.empty() && at == footprint_, "regions do not tile the footprint");
 }
 
 }  // namespace mtat

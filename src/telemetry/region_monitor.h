@@ -22,12 +22,19 @@
 
 namespace mtat {
 
+class StateArchive;
+
 class RegionMonitor {
  public:
   struct Region {
     std::uint64_t begin = 0;  ///< first virtual page (inclusive)
     std::uint64_t end = 0;    ///< last virtual page (exclusive)
     std::uint32_t count = 0;  ///< sampled accesses this aggregation window
+
+    template <class Ar>
+    void persist(Ar& ar) {
+      ar(begin, end, count);
+    }
 
     std::uint64_t pages() const { return end - begin; }
     /// Accesses per page — the density regions are ranked by.
@@ -60,6 +67,10 @@ class RegionMonitor {
   /// Current regions in address order (counts are for the open window).
   const std::vector<Region>& regions() const { return regions_; }
   std::uint64_t footprint_pages() const { return footprint_; }
+
+  /// Checkpoint codec (common/state_archive.h): the split/merge stream's
+  /// cursor and the current regions, which must tile the footprint.
+  void persist(StateArchive& ar);
 
  private:
   std::size_t region_of(std::uint64_t vpage) const;  // binary search

@@ -160,6 +160,14 @@ class BEWorkload : public MigrationListener {
   AddressSpace& space() { return *space_; }
   const BEConfig& config() const { return cfg_; }
 
+  /// Checkpoint codec (common/state_archive.h). The per-tier access weights
+  /// are kept incrementally, so they are stored as they are, not recomputed.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(*space_, rng_, tier_weight_, total_iterations_, interval_iterations_,
+       migrations_pending_, sample_carry_);
+  }
+
  private:
   /// rate_under at every tier's live (contended) latency.
   double live_rate(const TierValues& w) const;

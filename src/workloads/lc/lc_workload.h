@@ -91,6 +91,13 @@ class LCWorkload {
   std::uint64_t record_misses() const { return record_misses_; }
   std::uint64_t requests_served() const { return served_; }
 
+  /// Checkpoint codec (common/state_archive.h). The stores are pure
+  /// functions of the config; the request stream's cursor is the state.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar(*space_, rng_, served_);
+  }
+
  private:
   std::uint64_t pick_key(std::uint64_t n);
 

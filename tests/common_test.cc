@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 
+#include "bench/env.h"
 #include "common/alias_sampler.h"
 #include "common/csv.h"
 #include "common/latency_histogram.h"
@@ -394,6 +395,18 @@ TEST(Parse, ExactlyOneNumberWithoutSurroundingWhitespace) {
     EXPECT_EQ(parse_u64(c.in), c.u64) << '"' << c.in << '"';
     EXPECT_EQ(parse_double(c.in), c.dbl) << '"' << c.in << '"';
   }
+}
+
+// MTAT_TRACE_EVENTS is checked without running anything: every worker
+// context allocates the whole ring up front, so a huge value must never
+// reach TraceRecorder::enable.
+TEST(Parse, TraceEventsAreCappedAtFourMebiEvents) {
+  EXPECT_EQ(bench::internal::parse_trace_events("4194304"), std::size_t{4194304});
+  EXPECT_EQ(bench::internal::parse_trace_events("1"), std::size_t{1});
+  EXPECT_EQ(bench::internal::parse_trace_events("4194305"), std::nullopt);
+  EXPECT_EQ(bench::internal::parse_trace_events("18446744073709551615"), std::nullopt);
+  EXPECT_EQ(bench::internal::parse_trace_events("0"), std::nullopt);
+  EXPECT_EQ(bench::internal::parse_trace_events(" -1"), std::nullopt);
 }
 
 // ---------------------------------------------------------------- Units ----

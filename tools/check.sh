@@ -79,10 +79,11 @@ done
 
 # The fleet failure domain end-to-end: the fault-tolerance sweep drives the
 # epoch loop's every path — injected crashes and blackouts, the watchdog,
-# tenant evacuation with backoff, checkpoint replay on warm restarts — in
-# release and again under ASan, where the checkpoint/restore and
-# node-teardown code would hide lifetime bugs (DESIGN.md §17). MTAT_NODES=8
-# bounds the quadratic warm-replay cost in the sanitizer lane.
+# tenant evacuation with backoff, checkpoint restore on warm restarts and
+# replay for stragglers — in release and again under ASan, where the
+# checkpoint/restore and node-teardown code would hide lifetime bugs
+# (DESIGN.md §17). MTAT_NODES=8 bounds the stragglers' replay cost in the
+# sanitizer lane.
 for lane in release asan; do
   echo "==== cluster fault-tolerance bench smoke (${lane}, MTAT_SCALE=smoke, MTAT_JOBS=2) ===="
   smoke_dir=$(mktemp -d)
