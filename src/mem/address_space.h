@@ -64,9 +64,17 @@ class AddressSpace {
   /// individual calls would, in O(1).
   Duration access_page_n(std::uint64_t vpage, std::uint64_t n, AccessKind kind = AccessKind::kRead) {
     const PageId p = page_at_index(vpage);
-    const std::uint64_t before = accesses_ / sample_period_;
     accesses_ += n;
-    std::uint64_t samples = accesses_ / sample_period_ - before;
+    // Samples fall on every access whose running count is a multiple of the
+    // period; most calls end before the next one and divide nothing.
+    std::uint64_t samples = 0;
+    if (n < to_sample_) {
+      to_sample_ -= n;
+    } else {
+      const std::uint64_t past = n - to_sample_;  // accesses after the first sample
+      samples = 1 + past / sample_period_;
+      to_sample_ = sample_period_ - past % sample_period_;
+    }
     if (observer_ != nullptr) {
       PageId batch[kBatch];
       while (samples > 0) {
@@ -109,6 +117,7 @@ class AddressSpace {
   template <class Ar>
   void persist(Ar& ar) {
     ar(accesses_);
+    if (ar.loading()) to_sample_ = sample_period_ - accesses_ % sample_period_;
   }
 
  private:
@@ -121,6 +130,7 @@ class AddressSpace {
   std::vector<PageId> pages_;
   AccessObserver* observer_ = nullptr;
   std::uint64_t accesses_ = 0;
+  std::uint64_t to_sample_ = sample_period_;  ///< accesses until the next sample, 1..period
 };
 
 }  // namespace mtat

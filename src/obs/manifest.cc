@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "common/simd_level.h"
 #include "obs/json.h"
 
 #if __has_include("obs/version_gen.h")
@@ -19,6 +20,8 @@ void RunManifest::write_json(std::ostream& os) const {
   json_string(os, tool);
   os << ",\"git_sha\":";
   json_string(os, build_git_sha());
+  os << ",\"simd\":";
+  json_string(os, simd_level_name(host_simd_level()));
   os << ",\"scale\":";
   json_string(os, scale.empty() ? "custom" : scale);
   os << ",\"seed\":" << seed;

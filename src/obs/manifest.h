@@ -3,7 +3,8 @@
 // A bench CSV or metrics dump is only as good as the configuration that
 // produced it. RunManifest captures what a reader needs to re-run the
 // experiment — tool name, scale preset, seed, training epochs, the git SHA
-// the binary was built from, and free-form config key/values — and writes it
+// the binary was built from, the host's vector level (which kernels ran, see
+// common/simd_level.h), and free-form config key/values — and writes it
 // as a small JSON document next to the data (schema "mtat.run_manifest/1",
 // documented in DESIGN.md "Observability").
 #pragma once

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace mtat {
 
@@ -11,18 +13,21 @@ Mlp::Mlp(std::vector<int> sizes, Rng& rng) : sizes_(std::move(sizes)) {
   if (sizes_.size() < 2) throw std::invalid_argument("Mlp: need at least in/out sizes");
   for (int s : sizes_)
     if (s <= 0) throw std::invalid_argument("Mlp: layer sizes must be positive");
-  std::size_t off = 0;
+  std::size_t off = 0, t_off = 0;
   for (std::size_t l = 0; l + 1 < sizes_.size(); ++l) {
     Layer layer;
     layer.in = sizes_[l];
     layer.out = sizes_[l + 1];
     layer.w_off = off;
+    layer.t_off = t_off;
     off += static_cast<std::size_t>(layer.in) * layer.out;
+    t_off += static_cast<std::size_t>(layer.in) * layer.out;
     layer.b_off = off;
     off += layer.out;
     layers_.push_back(layer);
   }
   params_.resize(off);
+  wt_.resize(t_off);
   grads_.assign(off, 0.0);
   adam_m_.assign(off, 0.0);
   adam_v_.assign(off, 0.0);
@@ -32,155 +37,381 @@ Mlp::Mlp(std::vector<int> sizes, Rng& rng) : sizes_(std::move(sizes)) {
       params_[l.w_off + i] = rng.next_gaussian() * stddev;
     for (int i = 0; i < l.out; ++i) params_[l.b_off + i] = 0.0;
   }
+  rebuild_mirror();
 }
 
 namespace {
 
-// The kernels below block several outputs, rows or inputs into independent
+// The kernels below run one template per direction at the host's vector
+// width. Each blocks several outputs, rows or inputs into independent
 // accumulators so the adds overlap instead of waiting on one serial chain,
-// and process two adjacent values per instruction. Neither changes what any
-// single value sums or in what order, so a row's result is bit-identical to
-// running that row alone.
+// and operates on kLanes<V> adjacent values per instruction, lane by lane:
+// each lane computes exactly what the scalar expression would. Neither
+// changes what any single value sums or in what order, so a row's result is
+// bit-identical to running that row alone, at any level. Widths that do not
+// fill a vector finish through the same template at narrower lane types,
+// down to V = double.
+//
+// No product may fuse into its sum: AVX-512F hosts have FMA, and GCC
+// contracts a*b + c into one rounding by default. Contraction is switched
+// off here in the source, so every build of this file compiles the same
+// arithmetic (the mlp_no_fma ctest disassembles the library to check).
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#else
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
 
-// Two doubles, operated on lane by lane: each lane computes exactly what the
-// scalar expression would (IEEE mul and add, no contraction on the x86-64
-// baseline, which has no FMA).
-using v2d = double __attribute__((vector_size(16)));
+// Adam's hyperparameters and this step's bias corrections.
+struct AdamStep {
+  double lr, beta1, beta2, bc1, bc2, eps;
+};
 
-v2d load2(const double* p) {
-  v2d v;
+// One level's kernels (the arguments are documented at the templates).
+struct Kernels {
+  void (*forward)(const double* wt, const double* b, const double* x, double* y, int n, int in,
+                  int out, bool relu);
+  void (*weight_grad)(double* g, const double* s, const double* a, int n, int in, int out);
+  void (*input_grad)(const int* rs, int m, const double* d, const double* w, const double* a,
+                     double* dp, int in, int out, bool relu);
+  void (*adam)(double* p, double* m, double* v, const double* g, std::size_t n,
+               const AdamStep& a);
+  void (*polyak)(double* p, const double* q, std::size_t n, double tau);
+};
+
+// The lane type of kL doubles, and the one of half its width: a width that
+// does not fill a vector finishes in narrower ones, down to a scalar.
+template <int kL>
+struct Lanes {
+  // The typedef form: GCC drops vector_size from a dependent alias-declaration.
+  typedef double type __attribute__((vector_size(8 * kL)));
+};
+template <>
+struct Lanes<1> {
+  using type = double;
+};
+template <class V>
+constexpr int kLanes = sizeof(V) / sizeof(double);
+template <class V>
+using Half = typename Lanes<kLanes<V> / 2>::type;
+
+template <class V>
+[[gnu::always_inline]] inline void load(V& v, const double* p) {
   std::memcpy(&v, p, sizeof v);
-  return v;
 }
-void store2(double* p, v2d v) { std::memcpy(p, &v, sizeof v); }
-v2d splat(double x) { return v2d{x, x}; }
+template <class V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
-// ReLU on hidden layers, identity on the output layer.
-double activate(double sum, bool relu) { return relu && sum < 0.0 ? 0.0 : sum; }
-
-// Forward for kR rows x 2*kP outputs: y[r][o] = b[o] + w[o][0]*x[r][0] + ...,
-// inputs in ascending order. Accumulator k holds row k / kP, output pair
-// k % kP. `w` is the first output's weight row, `x` the first row's input, `y`
-// the first (row, output) cell.
-template <int kR, int kP>
-void forward_pairs(const double* w, const double* b, const double* x, double* y, int in,
-                   int out, bool relu) {
-  constexpr int kN = kR * kP;
-  v2d acc[kN];
+// Forward for kR rows x kV vectors of outputs: y[r][o] = b[o] + wt[0][o] *
+// x[r][0] + ..., inputs in ascending order; ReLU on hidden layers. `wt` is
+// the input-major weight mirror at the first output's column (row stride
+// `out`), so every weight load is contiguous; `x` is the first row's input,
+// `y` the first (row, output) cell.
+template <class V, int kR, int kV>
+[[gnu::always_inline]] inline void forward_block(const double* wt, const double* b,
+                                                 const double* x, double* y, int in, int out,
+                                                 bool relu) {
+  constexpr int kL = kLanes<V>;
+  V acc[kR][kV];
 #pragma GCC unroll 8
-  for (int k = 0; k < kN; ++k) acc[k] = load2(b + 2 * (k % kP));
+  for (int r = 0; r < kR; ++r)
+#pragma GCC unroll 8
+    for (int v = 0; v < kV; ++v) load(acc[r][v], b + v * kL);
   for (int i = 0; i < in; ++i) {
-    v2d wv[kP];
+    V wv[kV];
 #pragma GCC unroll 8
-    for (int p = 0; p < kP; ++p) wv[p] = v2d{w[2 * p * in + i], w[(2 * p + 1) * in + i]};
+    for (int v = 0; v < kV; ++v) load(wv[v], wt + i * out + v * kL);
 #pragma GCC unroll 8
-    for (int k = 0; k < kN; ++k) acc[k] += wv[k % kP] * splat(x[k / kP * in + i]);
+    for (int r = 0; r < kR; ++r) {
+      const double xi = x[r * in + i];
+#pragma GCC unroll 8
+      for (int v = 0; v < kV; ++v) acc[r][v] += wv[v] * xi;
+    }
   }
 #pragma GCC unroll 8
-  for (int k = 0; k < kN; ++k) {
-    double* yk = y + k / kP * out + 2 * (k % kP);
-    yk[0] = activate(acc[k][0], relu);
-    yk[1] = activate(acc[k][1], relu);
+  for (int r = 0; r < kR; ++r)
+#pragma GCC unroll 8
+    for (int v = 0; v < kV; ++v) {
+      if (relu) acc[r][v] = acc[r][v] < 0.0 ? V{} : acc[r][v];
+      store(y + r * out + v * kL, acc[r][v]);
+    }
+}
+
+// Every row of the batch for kV vectors of outputs: kR rows at a time, then
+// one.
+template <class V, int kR, int kV>
+[[gnu::always_inline]] inline void forward_rows(const double* wt, const double* b,
+                                                const double* x, double* y, int n, int in,
+                                                int out, bool relu) {
+  int r = 0;
+  for (; r + kR <= n; r += kR)
+    forward_block<V, kR, kV>(wt, b, x + r * in, y + r * out, in, out, relu);
+  for (; r < n; ++r) forward_block<V, 1, kV>(wt, b, x + r * in, y + r * out, in, out, relu);
+}
+
+// Outputs from `o` that fill no 4-vector block: single vectors of V, then of
+// each narrower width down to a scalar (the critics' one-wide and the
+// actor's two-wide output layers end here), 8 rows at a time.
+template <class V>
+[[gnu::always_inline]] inline void forward_tail(const double* wt, const double* b,
+                                                const double* x, double* y, int n, int in,
+                                                int out, bool relu, int o) {
+  constexpr int kL = kLanes<V>;
+  for (; o + kL <= out; o += kL) forward_rows<V, 8, 1>(wt + o, b + o, x, y + o, n, in, out, relu);
+  if constexpr (kL > 1) forward_tail<Half<V>>(wt, b, x, y, n, in, out, relu, o);
+}
+
+// One layer's forward over `n` rows: 2 rows x 4 vectors of outputs per block,
+// then the tail.
+template <class V>
+[[gnu::always_inline]] inline void forward_layer(const double* wt, const double* b,
+                                                 const double* x, double* y, int n, int in,
+                                                 int out, bool relu) {
+  constexpr int kL = kLanes<V>;
+  int o = 0;
+  for (; o + 4 * kL <= out; o += 4 * kL)
+    forward_rows<V, 2, 4>(wt + o, b + o, x, y + o, n, in, out, relu);
+  forward_tail<V>(wt, b, x, y, n, in, out, relu, o);
+}
+
+// Weight gradient for kO outputs x kV vectors of inputs: g[o][i] += s[r][o] *
+// a[r][i] with s = scale * dLoss/dOutput, rows in order. `g` is the first
+// weight's gradient, `s` the first output's column, `a` the first input's
+// column.
+template <class V, int kO, int kV>
+[[gnu::always_inline]] inline void grad_block(double* g, const double* s, const double* a,
+                                              int n, int in, int out) {
+  constexpr int kL = kLanes<V>;
+  V acc[kO][kV];
+#pragma GCC unroll 8
+  for (int o = 0; o < kO; ++o)
+#pragma GCC unroll 8
+    for (int v = 0; v < kV; ++v) load(acc[o][v], g + o * in + v * kL);
+  for (int r = 0; r < n; ++r) {
+    V av[kV];
+#pragma GCC unroll 8
+    for (int v = 0; v < kV; ++v) load(av[v], a + r * in + v * kL);
+#pragma GCC unroll 8
+    for (int o = 0; o < kO; ++o) {
+      const double so = s[r * out + o];
+#pragma GCC unroll 8
+      for (int v = 0; v < kV; ++v) acc[o][v] += so * av[v];
+    }
   }
+#pragma GCC unroll 8
+  for (int o = 0; o < kO; ++o)
+#pragma GCC unroll 8
+    for (int v = 0; v < kV; ++v) store(g + o * in + v * kL, acc[o][v]);
 }
 
-// The same for kR rows x one output (odd widths, the critics' output layer).
-template <int kR>
-void forward_single(const double* w, const double* b, const double* x, double* y, int in,
-                    int out, bool relu) {
-  double acc[kR];
-#pragma GCC unroll 8
-  for (int r = 0; r < kR; ++r) acc[r] = *b;
-  for (int i = 0; i < in; ++i) {
-#pragma GCC unroll 8
-    for (int r = 0; r < kR; ++r) acc[r] += w[i] * x[r * in + i];
+// Inputs from `i` that fill no 4-vector block: single vectors of V, then of
+// each narrower width down to a scalar (the 3- and 4-wide state inputs end
+// here), 8 outputs at a time.
+template <class V>
+[[gnu::always_inline]] inline void grad_tail(double* g, const double* s, const double* a, int n,
+                                             int in, int out, int i) {
+  constexpr int kL = kLanes<V>;
+  for (; i + kL <= in; i += kL) {
+    int o = 0;
+    for (; o + 8 <= out; o += 8) grad_block<V, 8, 1>(g + o * in + i, s + o, a + i, n, in, out);
+    for (; o < out; ++o) grad_block<V, 1, 1>(g + o * in + i, s + o, a + i, n, in, out);
   }
-#pragma GCC unroll 8
-  for (int r = 0; r < kR; ++r) y[r * out] = activate(acc[r], relu);
+  if constexpr (kL > 1) grad_tail<Half<V>>(g, s, a, n, in, out, i);
 }
 
-// Weight gradient for kO outputs x 2*kV inputs: g[o][i] += s[r][o] * a[r][i]
-// with s = scale * dLoss/dOutput, rows in order. Accumulator k holds output
-// k / kV, input pair k % kV. `g` is the first weight's gradient, `s` the first
-// output's column, `a` the first input's column.
-template <int kO, int kV>
-void grad_pairs(double* g, const double* s, const double* a, int rows, int in, int out) {
-  constexpr int kN = kO * kV;
-  v2d acc[kN];
-#pragma GCC unroll 8
-  for (int k = 0; k < kN; ++k) acc[k] = load2(g + k / kV * in + 2 * (k % kV));
-  for (int r = 0; r < rows; ++r) {
-    v2d av[kV];
-#pragma GCC unroll 8
-    for (int v = 0; v < kV; ++v) av[v] = load2(a + r * in + 2 * v);
-#pragma GCC unroll 8
-    for (int k = 0; k < kN; ++k) acc[k] += splat(s[r * out + k / kV]) * av[k % kV];
+// One layer's weight gradient over `n` rows: 2 outputs x 4 vectors of inputs
+// per block, then the tail.
+template <class V>
+[[gnu::always_inline]] inline void weight_grad(double* g, const double* s, const double* a,
+                                               int n, int in, int out) {
+  constexpr int kL = kLanes<V>;
+  const int wide = in - in % (4 * kL);
+  for (int i = 0; i < wide; i += 4 * kL) {
+    int o = 0;
+    for (; o + 2 <= out; o += 2) grad_block<V, 2, 4>(g + o * in + i, s + o, a + i, n, in, out);
+    if (o < out) grad_block<V, 1, 4>(g + o * in + i, s + o, a + i, n, in, out);
   }
-#pragma GCC unroll 8
-  for (int k = 0; k < kN; ++k) store2(g + k / kV * in + 2 * (k % kV), acc[k]);
+  grad_tail<V>(g, s, a, n, in, out, wide);
 }
 
-// The same for kO outputs x one input (odd input widths).
-template <int kO>
-void grad_single(double* g, const double* s, const double* a, int rows, int in, int out) {
-  double acc[kO];
-#pragma GCC unroll 8
-  for (int o = 0; o < kO; ++o) acc[o] = g[o * in];
-  for (int r = 0; r < rows; ++r) {
-#pragma GCC unroll 8
-    for (int o = 0; o < kO; ++o) acc[o] += s[r * out + o] * a[r * in];
-  }
-#pragma GCC unroll 8
-  for (int o = 0; o < kO; ++o) g[o * in] = acc[o];
-}
-
-template <int kO>
-void grad_outputs(double* g, const double* s, const double* a, int rows, int in, int out) {
-  int i = 0;
-  for (; i + 8 <= in; i += 8) grad_pairs<kO, 4>(g + i, s, a + i, rows, in, out);
-  for (; i + 2 <= in; i += 2) grad_pairs<kO, 1>(g + i, s, a + i, rows, in, out);
-  if (i < in) grad_single<kO>(g + i, s, a + i, rows, in, out);
-}
-
-// Input gradient for rows rs[0..kR) x 2*kV inputs from i0: dp[r][i] = 0.0 +
-// d[r][0]*w[0][i] + d[r][1]*w[1][i] + ..., outputs in order. Accumulator k
-// holds row rs[k / kV], input pair k % kV.
-template <int kR, int kV>
-void input_grad_pairs(const int* rs, const double* d, const double* w, double* dp, int i0,
-                      int in, int out) {
-  constexpr int kN = kR * kV;
-  v2d acc[kN] = {};
+// Input gradient for rows rs[0..kR) x kV vectors of inputs: dp[r][i] = 0.0 +
+// d[r][0] * w[0][i] + d[r][1] * w[1][i] + ..., outputs in order. When the
+// input is a ReLU output (`relu`), dp is zeroed where it was clamped, a[r][i]
+// <= 0, which makes it the previous layer's delta. `w` is the first input's
+// column of the output-major weights, `a` and `dp` the first input's column
+// of the input activations and of the result.
+template <class V, int kR, int kV>
+[[gnu::always_inline]] inline void input_grad_block(const int* rs, const double* d,
+                                                    const double* w, const double* a,
+                                                    double* dp, int in, int out, bool relu) {
+  constexpr int kL = kLanes<V>;
+  V acc[kR][kV] = {};
   for (int o = 0; o < out; ++o) {
-    v2d wv[kV];
+    V wv[kV];
 #pragma GCC unroll 8
-    for (int v = 0; v < kV; ++v) wv[v] = load2(w + o * in + i0 + 2 * v);
+    for (int v = 0; v < kV; ++v) load(wv[v], w + o * in + v * kL);
 #pragma GCC unroll 8
-    for (int k = 0; k < kN; ++k) acc[k] += splat(d[rs[k / kV] * out + o]) * wv[k % kV];
+    for (int r = 0; r < kR; ++r) {
+      const double dr = d[rs[r] * out + o];
+#pragma GCC unroll 8
+      for (int v = 0; v < kV; ++v) acc[r][v] += dr * wv[v];
+    }
   }
 #pragma GCC unroll 8
-  for (int k = 0; k < kN; ++k) store2(dp + rs[k / kV] * in + i0 + 2 * (k % kV), acc[k]);
+  for (int r = 0; r < kR; ++r)
+#pragma GCC unroll 8
+    for (int v = 0; v < kV; ++v) {
+      const int at = rs[r] * in + v * kL;
+      if (relu) {
+        V av;
+        load(av, a + at);
+        acc[r][v] = av <= 0.0 ? V{} : acc[r][v];
+      }
+      store(dp + at, acc[r][v]);
+    }
 }
 
-// The same for kR rows x one input (odd input widths).
-template <int kR>
-void input_grad_single(const int* rs, const double* d, const double* w, double* dp, int i0,
-                       int in, int out) {
-  double acc[kR] = {};
-  for (int o = 0; o < out; ++o) {
+// The rows listed in `rs` (`m` of them) for kV vectors of inputs: kR rows at
+// a time, then one.
+template <class V, int kR, int kV>
+[[gnu::always_inline]] inline void input_grad_rows(const int* rs, int m, const double* d,
+                                                   const double* w, const double* a, double* dp,
+                                                   int in, int out, bool relu) {
+  int j = 0;
+  for (; j + kR <= m; j += kR) input_grad_block<V, kR, kV>(rs + j, d, w, a, dp, in, out, relu);
+  for (; j < m; ++j) input_grad_block<V, 1, kV>(rs + j, d, w, a, dp, in, out, relu);
+}
+
+// Inputs from `i` that fill no 4-vector block: single vectors of V, then of
+// each narrower width down to a scalar, 8 rows at a time.
+template <class V>
+[[gnu::always_inline]] inline void input_grad_tail(const int* rs, int m, const double* d,
+                                                   const double* w, const double* a, double* dp,
+                                                   int in, int out, bool relu, int i) {
+  constexpr int kL = kLanes<V>;
+  for (; i + kL <= in; i += kL)
+    input_grad_rows<V, 8, 1>(rs, m, d, w + i, a + i, dp + i, in, out, relu);
+  if constexpr (kL > 1) input_grad_tail<Half<V>>(rs, m, d, w, a, dp, in, out, relu, i);
+}
+
+// One layer's input gradient for the rows listed in `rs`: 2 rows x 4 vectors
+// of inputs per block, then the tail.
+template <class V>
+[[gnu::always_inline]] inline void input_grad(const int* rs, int m, const double* d,
+                                              const double* w, const double* a, double* dp,
+                                              int in, int out, bool relu) {
+  constexpr int kL = kLanes<V>;
+  const int wide = in - in % (4 * kL);
+  for (int i = 0; i < wide; i += 4 * kL)
+    input_grad_rows<V, 2, 4>(rs, m, d, w + i, a + i, dp + i, in, out, relu);
+  input_grad_tail<V>(rs, m, d, w, a, dp, in, out, relu, wide);
+}
+
+// Adam on kLanes<V> adjacent parameters, each exactly as the scalar update.
+template <class V>
+[[gnu::always_inline]] inline void adam_lanes(double* p, double* m, double* v, const double* g,
+                                              const AdamStep& a) {
+  V pv, mv, vv, gv;
+  load(pv, p);
+  load(mv, m);
+  load(vv, v);
+  load(gv, g);
+  mv = a.beta1 * mv + (1.0 - a.beta1) * gv;
+  vv = a.beta2 * vv + (1.0 - a.beta2) * gv * gv;
+  V root = vv / a.bc2;
+  if constexpr (kLanes<V> == 1) {
+    root = std::sqrt(root);
+  } else {
 #pragma GCC unroll 8
-    for (int r = 0; r < kR; ++r) acc[r] += d[rs[r] * out + o] * w[o * in + i0];
+    for (int k = 0; k < kLanes<V>; ++k) root[k] = std::sqrt(root[k]);
   }
-#pragma GCC unroll 8
-  for (int r = 0; r < kR; ++r) dp[rs[r] * in + i0] = acc[r];
+  pv -= a.lr * (mv / a.bc1) / (root + a.eps);
+  store(p, pv);
+  store(m, mv);
+  store(v, vv);
 }
 
-template <int kR>
-void input_grad_rows(const int* rs, const double* d, const double* w, double* dp, int in,
-                     int out) {
-  int i = 0;
-  for (; i + 8 <= in; i += 8) input_grad_pairs<kR, 4>(rs, d, w, dp, i, in, out);
-  for (; i + 2 <= in; i += 2) input_grad_pairs<kR, 1>(rs, d, w, dp, i, in, out);
-  if (i < in) input_grad_single<kR>(rs, d, w, dp, i, in, out);
+template <class V>
+[[gnu::always_inline]] inline void adam(double* p, double* m, double* v, const double* g,
+                                        std::size_t n, const AdamStep& a) {
+  constexpr std::size_t kL = kLanes<V>;
+  std::size_t i = 0;
+  for (; i + kL <= n; i += kL) adam_lanes<V>(p + i, m + i, v + i, g + i, a);
+  for (; i < n; ++i) adam_lanes<double>(p + i, m + i, v + i, g + i, a);
+}
+
+// Polyak averaging p = tau * q + (1 - tau) * p on kLanes<V> adjacent
+// parameters.
+template <class V>
+[[gnu::always_inline]] inline void polyak_lanes(double* p, const double* q, double tau) {
+  V pv, qv;
+  load(pv, p);
+  load(qv, q);
+  store(p, tau * qv + (1.0 - tau) * pv);
+}
+
+template <class V>
+[[gnu::always_inline]] inline void polyak(double* p, const double* q, std::size_t n,
+                                          double tau) {
+  constexpr std::size_t kL = kLanes<V>;
+  std::size_t i = 0;
+  for (; i + kL <= n; i += kL) polyak_lanes<V>(p + i, q + i, tau);
+  for (; i < n; ++i) polyak_lanes<double>(p + i, q + i, tau);
+}
+
+// The instantiations: each level compiles the templates above at its native
+// width for its own target, and nothing else differs between levels. (A
+// lane type wider than its target splits into slow piecewise code, so one
+// wide type for every level does not work.)
+#define MTAT_MLP_KERNELS(level, isa, lanes)                                                   \
+  namespace level {                                                                            \
+  using V = Lanes<lanes>::type;                                                                \
+  static_assert(kLanes<V> == (lanes));                                                         \
+  [[gnu::target(isa)]] void forward(const double* wt, const double* b, const double* x,        \
+                                    double* y, int n, int in, int out, bool relu) {            \
+    forward_layer<V>(wt, b, x, y, n, in, out, relu);                                           \
+  }                                                                                            \
+  [[gnu::target(isa)]] void wgrad(double* g, const double* s, const double* a, int n, int in, \
+                                  int out) {                                                   \
+    weight_grad<V>(g, s, a, n, in, out);                                                       \
+  }                                                                                            \
+  [[gnu::target(isa)]] void igrad(const int* rs, int m, const double* d, const double* w,      \
+                                  const double* a, double* dp, int in, int out, bool relu) {   \
+    input_grad<V>(rs, m, d, w, a, dp, in, out, relu);                                          \
+  }                                                                                            \
+  [[gnu::target(isa)]] void adam_step(double* p, double* m, double* v, const double* g,        \
+                                      std::size_t n, const AdamStep& a) {                      \
+    adam<V>(p, m, v, g, n, a);                                                                 \
+  }                                                                                            \
+  [[gnu::target(isa)]] void soft_update(double* p, const double* q, std::size_t n,             \
+                                        double tau) {                                          \
+    polyak<V>(p, q, n, tau);                                                                   \
+  }                                                                                            \
+  constexpr Kernels kKernels{&forward, &wgrad, &igrad, &adam_step, &soft_update};              \
+  }
+
+MTAT_MLP_KERNELS(sse2, "sse2", 2)
+MTAT_MLP_KERNELS(avx2, "avx2", 4)
+MTAT_MLP_KERNELS(avx512f, "avx512f", 8)
+#undef MTAT_MLP_KERNELS
+
+#if !defined(__clang__)
+#pragma GCC pop_options
+#endif
+
+const Kernels& kernels(SimdLevel level) {
+  switch (level) {
+    case SimdLevel::kAvx512f:
+      return avx512f::kKernels;
+    case SimdLevel::kAvx2:
+      return avx2::kKernels;
+    case SimdLevel::kSse2:
+      break;
+  }
+  return sse2::kKernels;
 }
 
 }  // namespace
@@ -202,35 +433,11 @@ void Mlp::check_shape(const Cache& cache) const {
 
 const double* Mlp::forward(Cache& cache) const {
   check_shape(cache);
-  const int n = cache.rows;
+  const Kernels& kern = kernels(level_);
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& l = layers_[li];
-    const double* w = &params_[l.w_off];
-    const double* b = &params_[l.b_off];
-    const double* x = cache.act[li].data();
-    double* y = cache.act[li + 1].data();
-    const bool relu = li + 1 < layers_.size();
-    const auto run = [&](auto kernel, int o, int r) {
-      kernel(w + o * l.in, b + o, x + r * l.in, y + r * l.out + o, l.in, l.out, relu);
-    };
-    // Wide layers: 2 rows x 8 outputs per block, then output pairs; a last
-    // odd output (and the critics' one-wide output layer) 4 rows at a time.
-    int o = 0;
-    for (; o + 8 <= l.out; o += 8) {
-      int r = 0;
-      for (; r + 2 <= n; r += 2) run(forward_pairs<2, 4>, o, r);
-      if (r < n) run(forward_pairs<1, 4>, o, r);
-    }
-    for (; o + 2 <= l.out; o += 2) {
-      int r = 0;
-      for (; r + 2 <= n; r += 2) run(forward_pairs<2, 1>, o, r);
-      if (r < n) run(forward_pairs<1, 1>, o, r);
-    }
-    if (o < l.out) {
-      int r = 0;
-      for (; r + 4 <= n; r += 4) run(forward_single<4>, o, r);
-      for (; r < n; ++r) run(forward_single<1>, o, r);
-    }
+    kern.forward(&wt_[l.t_off], &params_[l.b_off], cache.act[li].data(), cache.act[li + 1].data(),
+              cache.rows, l.in, l.out, li + 1 < layers_.size());
   }
   return cache.act.back().data();
 }
@@ -266,17 +473,12 @@ const double* Mlp::backprop(Cache& cache, const double* dout, double scale,
     if (r < 0 || r >= n) throw std::invalid_argument("Mlp: row outside the batch");
   const int* rs = rows->data();
   const int m = static_cast<int>(rows->size());
+  const Kernels& kern = kernels(level_);
   cache.delta.assign(dout, dout + static_cast<std::size_t>(n) * output_dim());
   for (std::size_t li = layers_.size(); li-- > 0;) {
     const Layer& l = layers_[li];
     const double* a_in = cache.act[li].data();
-    const double* a_out = cache.act[li + 1].data();
-    double* d = cache.delta.data();
-    // ReLU derivative on hidden layers: zero where the activation was clamped.
-    if (li + 1 < layers_.size())
-      for (int j = 0; j < m; ++j)
-        for (int o = rs[j] * l.out, e = o + l.out; o < e; ++o)
-          if (a_out[o] <= 0.0) d[o] = 0.0;
+    const double* d = cache.delta.data();
     if (grads != nullptr) {
       // s[r][o] = scale * d[r][o], the factor every gradient term of (r, o)
       // starts from.
@@ -286,16 +488,12 @@ const double* Mlp::backprop(Cache& cache, const double* dout, double scale,
       double* gb = grads + l.b_off;
       for (int r = 0; r < n; ++r)
         for (int o = 0; o < l.out; ++o) gb[o] += sd[r * l.out + o];
-      double* gw = grads + l.w_off;
-      int o = 0;
-      for (; o + 2 <= l.out; o += 2) grad_outputs<2>(gw + o * l.in, sd + o, a_in, n, l.in, l.out);
-      if (o < l.out) grad_outputs<1>(gw + o * l.in, sd + o, a_in, n, l.in, l.out);
+      kern.weight_grad(grads + l.w_off, sd, a_in, n, l.in, l.out);
     }
     cache.dprev.resize(static_cast<std::size_t>(n) * l.in);
-    const double* w = &params_[l.w_off];
-    int j = 0;
-    for (; j + 2 <= m; j += 2) input_grad_rows<2>(rs + j, d, w, cache.dprev.data(), l.in, l.out);
-    for (; j < m; ++j) input_grad_rows<1>(rs + j, d, w, cache.dprev.data(), l.in, l.out);
+    // Below the first layer, the input is a ReLU output: the kernel applies
+    // its derivative, so dprev is the previous layer's delta.
+    kern.input_grad(rs, m, d, &params_[l.w_off], a_in, cache.dprev.data(), l.in, l.out, li > 0);
     std::swap(cache.delta, cache.dprev);
   }
   // The returned input gradient carries `scale` too, matching the parameter
@@ -312,12 +510,10 @@ void Mlp::adam_step(double lr, double beta1, double beta2, double eps) {
   ++adam_t_;
   const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(adam_t_));
   const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(adam_t_));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    adam_m_[i] = beta1 * adam_m_[i] + (1.0 - beta1) * grads_[i];
-    adam_v_[i] = beta2 * adam_v_[i] + (1.0 - beta2) * grads_[i] * grads_[i];
-    params_[i] -= lr * (adam_m_[i] / bc1) / (std::sqrt(adam_v_[i] / bc2) + eps);
-  }
+  kernels(level_).adam(params_.data(), adam_m_.data(), adam_v_.data(), grads_.data(),
+                       params_.size(), AdamStep{lr, beta1, beta2, bc1, bc2, eps});
   zero_grad();
+  rebuild_mirror();
 }
 
 void Mlp::zero_grad() { std::fill(grads_.begin(), grads_.end(), 0.0); }
@@ -326,13 +522,39 @@ void Mlp::copy_parameters_from(const Mlp& other) {
   if (other.params_.size() != params_.size())
     throw std::invalid_argument("Mlp: shape mismatch in copy");
   params_ = other.params_;
+  wt_ = other.wt_;
 }
 
 void Mlp::soft_update_from(const Mlp& other, double tau) {
   if (other.params_.size() != params_.size())
     throw std::invalid_argument("Mlp: shape mismatch in soft update");
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    params_[i] = tau * other.params_[i] + (1.0 - tau) * params_[i];
+  kernels(level_).polyak(params_.data(), other.params_.data(), params_.size(), tau);
+  rebuild_mirror();
+}
+
+void Mlp::set_parameters(std::vector<double> p) {
+  if (p.size() != params_.size()) throw std::invalid_argument("Mlp: parameter count mismatch");
+  params_ = std::move(p);
+  rebuild_mirror();
+}
+
+void Mlp::set_parameter(std::size_t i, double v) {
+  params_.at(i) = v;
+  rebuild_mirror();
+}
+
+void Mlp::set_simd_level(SimdLevel level) {
+  if (!host_supports(level))
+    throw std::invalid_argument(std::string("Mlp: host lacks SIMD level ") +
+                                simd_level_name(level));
+  level_ = level;
+}
+
+void Mlp::rebuild_mirror() {
+  for (const Layer& l : layers_)
+    for (int i = 0; i < l.in; ++i)
+      for (int o = 0; o < l.out; ++o)
+        wt_[l.t_off + i * l.out + o] = params_[l.w_off + o * l.in + i];
 }
 
 }  // namespace mtat

@@ -9,14 +9,17 @@
 //
 // Every pass works on a batch: row-major `rows × width` activations held in
 // a reusable Cache. The kernels are register-blocked across outputs and rows
-// but keep each value's operation order fixed, so a row's result does not
-// depend on the batch it ran in (DESIGN.md §14.4).
+// and run at the host's widest vector level (common/simd_level.h), but keep
+// each value's operation order fixed and never fuse a product into its sum,
+// so a row's result depends neither on the batch it ran in nor on the level
+// (DESIGN.md §14.4).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd_level.h"
 
 namespace mtat {
 
@@ -74,10 +77,19 @@ class Mlp {
   int output_dim() const { return sizes_.back(); }
   std::size_t parameter_count() const { return params_.size(); }
 
-  /// Raw parameter access for tests (weights then biases, layer by layer).
-  std::vector<double>& parameters() { return params_; }
+  /// Parameters (weights then biases, layer by layer), read-only.
   const std::vector<double>& parameters() const { return params_; }
   const std::vector<double>& gradients() const { return grads_; }
+  /// Parameter writes for tests; the next pass sees them. set_parameters()
+  /// throws std::invalid_argument unless `p` has parameter_count() values.
+  void set_parameters(std::vector<double> p);
+  void set_parameter(std::size_t i, double v);
+
+  /// The vector level this net's kernels run at: the host's widest unless a
+  /// test forced another. Every level gives bit-identical results.
+  SimdLevel simd_level() const { return level_; }
+  /// Forces `level`; throws std::invalid_argument if the host lacks it.
+  void set_simd_level(SimdLevel level);
 
   /// Checkpoint codec (common/state_archive.h): parameters, gradients and
   /// the Adam moments and step. The shape is the config's.
@@ -88,15 +100,19 @@ class Mlp {
     ar.fixed(adam_m_);
     ar.fixed(adam_v_);
     ar(adam_t_);
+    if (ar.loading()) rebuild_mirror();
   }
 
  private:
   struct Layer {
     std::size_t w_off;  // into params_: out x in row-major weights
     std::size_t b_off;  // then out biases
+    std::size_t t_off;  // into wt_: the same weights, in x out row-major
     int in, out;
   };
 
+  /// Rewrites wt_ from params_; every member that writes params_ calls it.
+  void rebuild_mirror();
   void check_shape(const Cache& cache) const;
   const double* backprop(Cache& cache, const double* dout, double scale,
                          const std::vector<int>* rows, double* grads) const;
@@ -104,9 +120,11 @@ class Mlp {
   std::vector<int> sizes_;
   std::vector<Layer> layers_;
   std::vector<double> params_;
+  std::vector<double> wt_;  // input-major weight mirror for forward()
   std::vector<double> grads_;
   std::vector<double> adam_m_, adam_v_;
   std::uint64_t adam_t_ = 0;
+  SimdLevel level_ = host_simd_level();
 };
 
 }  // namespace mtat

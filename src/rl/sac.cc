@@ -172,6 +172,10 @@ void SacAgent::set_run_context(obs::RunContext* ctx) {
     actions_corrupted_c_ = &reg.counter(obs::names::kFaultRlActionsCorrupted);
 }
 
+void SacAgent::set_simd_level(SimdLevel level) {
+  for (Mlp* net : {&actor_, &q1_, &q2_, &q1_target_, &q2_target_}) net->set_simd_level(level);
+}
+
 void SacAgent::update_once() {
   const std::size_t batch = std::min(cfg_.batch_size, buffer_.size());
   const int n = static_cast<int>(batch);

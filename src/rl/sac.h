@@ -80,6 +80,11 @@ class SacAgent {
     return {&actor_, &q1_, &q2_, &q1_target_, &q2_target_};
   }
 
+  /// Forces every network's kernels to `level` (tests compare levels; all
+  /// give bit-identical results). Throws std::invalid_argument if the host
+  /// lacks it.
+  void set_simd_level(SimdLevel level);
+
   /// Checkpoint codec (common/state_archive.h): the sampling stream, all
   /// five networks with their optimizer state, the temperature and its
   /// Adam state, the replay buffer and the update counters.

@@ -1,5 +1,6 @@
 #include "workloads/kv/hash_store.h"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -28,21 +29,28 @@ std::uint64_t bucket_of(std::uint64_t key, std::uint64_t n_buckets) {
 
 /// Real insertion with linear probing, so probe-sequence lengths are genuine.
 /// Nothing is ever deleted, so a later lookup of a key walks exactly the
-/// buckets its insertion walked: the mean probe count falls out of the build.
+/// buckets its insertion walked: the table keeps each key's count, and the
+/// mean falls out of the build. The slots themselves are dropped.
 HashStore::Table build_table(std::uint64_t n_records, std::uint64_t n_buckets) {
   HashStore::Table t;
-  t.slots.assign(n_buckets, HashStore::kEmpty);
-  std::uint64_t probes = 0;
+  t.n_buckets = n_buckets;
+  t.probes.resize(n_records);
+  std::vector<bool> taken(n_buckets, false);
+  std::uint64_t total = 0;
   for (std::uint64_t key = 0; key < n_records; ++key) {
     std::uint64_t b = bucket_of(key, n_buckets);
-    ++probes;
-    while (t.slots[b] != HashStore::kEmpty) {
+    std::uint64_t probes = 1;
+    while (taken[b]) {
       b = (b + 1) % n_buckets;
       ++probes;
     }
-    t.slots[b] = key;
+    taken[b] = true;
+    if (probes > std::numeric_limits<std::uint16_t>::max())
+      throw std::logic_error("HashStore: probe sequence too long for the table");
+    t.probes[key] = static_cast<std::uint16_t>(probes);
+    total += probes;
   }
-  t.mean_probes = static_cast<double>(probes) / static_cast<double>(n_records);
+  t.mean_probes = static_cast<double>(total) / static_cast<double>(n_records);
   return t;
 }
 
@@ -60,17 +68,17 @@ HashStore::HashStore(AddressSpace& space, const Config& cfg) : space_(&space), c
     throw std::invalid_argument("HashStore: address space too small");
   const std::pair<std::uint64_t, std::uint64_t> shape{cfg.n_records, buckets_for(cfg)};
   table_ = memoized<Table>(shape, [&] { return build_table(shape.first, shape.second); });
-  records_base_ = table_->slots.size() * kBucketBytes;
+  records_base_ = table_->n_buckets * kBucketBytes;
 }
 
-std::uint64_t HashStore::probe(std::uint64_t key, Duration& lat) {
-  const std::vector<std::uint64_t>& slots = table_->slots;
-  std::uint64_t b = bucket_of(key, slots.size());
-  while (true) {
+void HashStore::probe(std::uint64_t key, Duration& lat) {
+  if (key >= cfg_.n_records) throw std::logic_error("HashStore: key not present");
+  const std::uint64_t n = table_->n_buckets;
+  std::uint64_t b = bucket_of(key, n);
+  for (std::uint16_t left = table_->probes[key];;) {
     lat += space_->access_page_n(b * kBucketBytes / kPageSize, cfg_.probe_misses);
-    if (slots[b] == key) return b;
-    if (slots[b] == kEmpty) throw std::logic_error("HashStore: key not present");
-    b = (b + 1) % slots.size();
+    if (--left == 0) return;
+    if (++b == n) b = 0;
   }
 }
 

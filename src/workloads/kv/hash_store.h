@@ -25,7 +25,6 @@ namespace mtat {
 class HashStore {
  public:
   static constexpr Bytes kBucketBytes = 16;  // key fingerprint + record pointer
-  static constexpr std::uint64_t kEmpty = ~0ull;
 
   struct Config {
     std::uint64_t n_records = 0;
@@ -38,12 +37,15 @@ class HashStore {
   /// Space the store needs inside an AddressSpace, for sizing the allocation.
   static Bytes required_bytes(const Config& cfg);
 
-  /// The host-side table: which key each bucket holds after inserting keys
-  /// 0..n_records-1, and the mean probe count over them. A pure function of
-  /// (n_records, bucket count), so it is built once per process per pair and
-  /// shared read-only by every store of that shape (common/memo.h).
+  /// The host-side table: how many buckets each of keys 0..n_records-1
+  /// walked when it was inserted, and their mean. A lookup of a key walks
+  /// exactly those buckets (nothing is ever deleted), so this is all a
+  /// request needs of the layout. A pure function of (n_records, bucket
+  /// count), so it is built once per process per pair and shared read-only
+  /// by every store of that shape (common/memo.h).
   struct Table {
-    std::vector<std::uint64_t> slots;  ///< key per bucket, kEmpty if none
+    std::uint64_t n_buckets = 0;
+    std::vector<std::uint16_t> probes;  ///< per key; the build checks they fit
     double mean_probes = 0.0;
   };
 
@@ -60,14 +62,14 @@ class HashStore {
   Duration put(std::uint64_t key);
 
   const Config& config() const { return cfg_; }
-  std::uint64_t n_buckets() const { return table_->slots.size(); }
+  std::uint64_t n_buckets() const { return table_->n_buckets; }
   /// Mean probes over all inserted keys: LC calibration's fixed miss count.
   double mean_probes() const { return table_->mean_probes; }
 
  private:
-  /// Walk the probe sequence for `key`, charging bucket accesses; returns the
-  /// slot index holding the key.
-  std::uint64_t probe(std::uint64_t key, Duration& lat);
+  /// Walk the probe sequence for `key`, charging bucket accesses. Throws
+  /// std::logic_error for a key that was never inserted.
+  void probe(std::uint64_t key, Duration& lat);
   Duration touch_record(std::uint64_t key, AccessKind kind);
 
   AddressSpace* space_;

@@ -5,8 +5,9 @@
 // only for that workload's pages. Each part is checked against a
 // transcription of the code it replaced:
 //
-//   - RefHashStore: the per-node HashStore, which built its own slot table
-//     and re-walked every key for mean_probes().
+//   - RefHashStore: the per-node HashStore, which built its own slot table,
+//     re-walked every key for mean_probes() and walked the slots on every
+//     lookup.
 //   - RefAlias: the per-tenant alias table, resolved with a branch.
 //   - ref_pull / ref_slower_pull: pulls that push_back one page at a time.
 //   - RefBeWeights: BEWorkload's tier-weight upkeep, which heard every page
@@ -39,6 +40,7 @@
 #include "obs/run_context.h"
 #include "sim/colocation_sim.h"
 #include "sim/experiments.h"
+#include "telemetry/access_sampler.h"
 #include "telemetry/page_hotness.h"
 #include "workloads/be/be_suite.h"
 #include "workloads/be/be_workload.h"
@@ -49,17 +51,20 @@ namespace {
 
 // ------------------------------------------------------------ HashStore ----
 
-/// The per-node HashStore: its own slot table, built in the constructor.
+constexpr std::uint64_t kEmptySlot = ~0ull;
+
+/// The per-node HashStore: its own slot table, built in the constructor, and
+/// a lookup that walks the slots until it finds the key.
 class RefHashStore {
  public:
   RefHashStore(AddressSpace& space, const HashStore::Config& cfg) : space_(&space), cfg_(cfg) {
     slots_.assign(
         static_cast<std::uint64_t>(static_cast<double>(cfg.n_records) / cfg.fill_factor) + 1,
-        HashStore::kEmpty);
+        kEmptySlot);
     records_base_ = slots_.size() * HashStore::kBucketBytes;
     for (std::uint64_t key = 0; key < cfg.n_records; ++key) {
       std::uint64_t b = bucket_of(key);
-      while (slots_[b] != HashStore::kEmpty) b = (b + 1) % slots_.size();
+      while (slots_[b] != kEmptySlot) b = (b + 1) % slots_.size();
       slots_[b] = key;
     }
   }
@@ -127,10 +132,10 @@ class RefHashStore {
 /// A node's memory with the store's space spilling past FMem, so a key's
 /// latency depends on which of its pages sit in which tier.
 struct KvNode {
-  explicit KvNode(const HashStore::Config& cfg)
+  explicit KvNode(const HashStore::Config& cfg, std::uint64_t sample_period = 1)
       : mem(TieredMemory::Config::two_tier(bytes_to_pages(HashStore::required_bytes(cfg)) / 3,
                                            bytes_to_pages(HashStore::required_bytes(cfg)))),
-        space(mem, 0, HashStore::required_bytes(cfg), kFastestFirst) {}
+        space(mem, 0, HashStore::required_bytes(cfg), kFastestFirst, sample_period) {}
   TieredMemory mem;
   AddressSpace space;
 };
@@ -163,6 +168,55 @@ TEST(FleetNodeEquivalence, SharedHashStoreMatchesPerNodeStore) {
       const Duration want_put = ref.put(key);
       ASSERT_EQ(a.put(key), want_put) << "put " << key;
       ASSERT_EQ(b.put(key), want_put) << "put " << key;
+    }
+  }
+}
+
+TEST(FleetNodeEquivalence, HashStoreRequestStreamMatchesSlotWalk) {
+  // A random get/put stream, sampled 1-in-7 into an AccessSampler with a
+  // hotness histogram, as an LC workload runs it. The store that steps a
+  // key's stored probe count must charge every request what the slot walk
+  // charges and leave the sampler and every hotness bin where it leaves them.
+  for (const auto& [n_records, record_size, fill] :
+       {std::tuple{std::uint64_t{5000}, Bytes{1024}, 0.7},
+        std::tuple{std::uint64_t{3001}, Bytes{4096}, 0.5},
+        std::tuple{std::uint64_t{777}, Bytes{100}, 0.93}}) {
+    SCOPED_TRACE(testing::Message() << n_records << " records");
+    HashStore::Config cfg;
+    cfg.n_records = n_records;
+    cfg.record_size = record_size;
+    cfg.fill_factor = fill;
+    cfg.record_misses = 5;
+    constexpr std::uint64_t kPeriod = 7;
+    KvNode ref_node(cfg, kPeriod), node(cfg, kPeriod);
+    AccessSampler ref_sampler(ref_node.mem, kPeriod), sampler(node.mem, kPeriod);
+    PageHotness ref_hot(ref_node.mem), hot(node.mem);
+    ref_sampler.add_sink(&ref_hot);
+    sampler.add_sink(&hot);
+    ref_node.space.set_observer(&ref_sampler);
+    node.space.set_observer(&sampler);
+    RefHashStore ref(ref_node.space, cfg);
+    HashStore store(node.space, cfg);
+    Rng rng(n_records);
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t key = rng.next_below(n_records);
+      if (rng.next_bool(0.3))
+        ASSERT_EQ(store.put(key), ref.put(key)) << "put " << key << " at request " << i;
+      else
+        ASSERT_EQ(store.get(key), ref.get(key)) << "get " << key << " at request " << i;
+    }
+    EXPECT_THROW(store.get(n_records), std::logic_error);
+    const IntervalCounters want = ref_sampler.collect(0), got = sampler.collect(0);
+    EXPECT_EQ(got.reads, want.reads);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.tier_accesses, want.tier_accesses);
+    EXPECT_GT(got.total(), 0u);
+    const std::vector<PageId>& ref_pages = ref_node.space.pages();
+    const std::vector<PageId>& pages = node.space.pages();
+    ASSERT_EQ(pages.size(), ref_pages.size());
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      ASSERT_EQ(hot.bin_of_page(pages[i]), ref_hot.bin_of_page(ref_pages[i])) << "page " << i;
+      ASSERT_EQ(hot.count_of(pages[i]), ref_hot.count_of(ref_pages[i])) << "page " << i;
     }
   }
 }

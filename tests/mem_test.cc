@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/state_archive.h"
 #include "mem/address_space.h"
 #include "mem/migration_engine.h"
 #include "mem/tiered_memory.h"
@@ -352,6 +353,66 @@ TEST(AddressSpace, AccessPageNEmitsProportionalSamples) {
   EXPECT_EQ(obs.count, 9);
   space.access_page_n(0, 5);  // crosses the 100th access
   EXPECT_EQ(obs.count, 10);
+}
+
+TEST(AddressSpace, SampleCountdownMatchesTwoDivisionForm) {
+  // access_page_n counts down to the next sample instead of dividing the
+  // running access count by the period before and after each call. Both
+  // forms must emit the same samples on every call: random n in [0, 3P],
+  // the values around the next sample, with and without an observer
+  // attached, and across a checkpoint round trip in mid-period.
+  for (const std::uint64_t period : {1u, 2u, 7u, 64u, 100u}) {
+    SCOPED_TRACE(testing::Message() << "period " << period);
+    TieredMemory mem(small_config(0, 64));
+    AddressSpace space(mem, 0, kPageSize, kTierOnly(Tier::kSMem), period);
+    CountingObserver obs;
+    std::uint64_t accesses = 0;  // the two-division form's state
+    int want = 0;                // samples it emitted while observed
+    Rng rng(period);
+    const auto step = [&](AddressSpace& s, std::uint64_t n, bool observed) {
+      const std::uint64_t before = accesses / period;
+      accesses += n;
+      if (observed) want += static_cast<int>(accesses / period - before);
+      EXPECT_EQ(s.access_page_n(0, n), 202u * n);
+      ASSERT_EQ(obs.count, want) << "after " << accesses << " accesses";
+    };
+    const auto stream = [&](AddressSpace& s, bool observed) {
+      for (int i = 0; i < 400; ++i) {
+        const std::uint64_t to_next = period - accesses % period;
+        switch (i % 4) {
+          case 0:
+            step(s, rng.next_below(3 * period + 1), observed);
+            break;
+          case 1:
+            step(s, to_next - 1, observed);
+            break;
+          case 2:
+            step(s, to_next, observed);
+            break;
+          default:
+            step(s, to_next + 1, observed);
+            break;
+        }
+      }
+    };
+    stream(space, /*observed=*/false);
+    space.set_observer(&obs);
+    stream(space, /*observed=*/true);
+    step(space, period / 2 + 1, true);  // leave the count mid-period
+    EXPECT_EQ(space.total_accesses(), accesses);
+
+    StateArchive save;
+    space.persist(save);
+    const std::string state = save.finish();
+    TieredMemory mem2(small_config(0, 64));
+    AddressSpace restored(mem2, 0, kPageSize, kTierOnly(Tier::kSMem), period);
+    StateArchive load(state);
+    restored.persist(load);
+    load.finish_load();
+    EXPECT_EQ(restored.total_accesses(), accesses);
+    restored.set_observer(&obs);
+    stream(restored, /*observed=*/true);
+  }
 }
 
 }  // namespace

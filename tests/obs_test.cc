@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/simd_level.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
@@ -255,6 +256,9 @@ TEST(Manifest, WritesSchemaAndFields) {
   EXPECT_TRUE(contains(s, "\"schema\":\"mtat.run_manifest/1\""));
   EXPECT_TRUE(contains(s, "\"tool\":\"unit_test\""));
   EXPECT_TRUE(contains(s, "\"git_sha\""));
+  // The vector level the kernels ran at on this host.
+  EXPECT_TRUE(
+      contains(s, std::string("\"simd\":\"") + simd_level_name(host_simd_level()) + "\""));
   EXPECT_TRUE(contains(s, "\"scale\":\"small\""));
   EXPECT_TRUE(contains(s, "\"seed\":42"));
   EXPECT_TRUE(contains(s, "\"train_epochs\":5"));

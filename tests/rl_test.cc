@@ -8,7 +8,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "common/simd_level.h"
 #include "rl/mlp.h"
 #include "rl/replay_buffer.h"
 #include "rl/sac.h"
@@ -46,8 +49,7 @@ TEST(Mlp, ForwardMatchesHandComputation) {
   Mlp net({2, 2, 1}, rng);
   // Overwrite parameters with known values:
   // hidden: W=[[1,2],[3,4]], b=[0.5,-10]; out: W=[[1,1]], b=[0.25].
-  auto& p = net.parameters();
-  p = {1, 2, 3, 4, 0.5, -10, 1, 1, 0.25};
+  net.set_parameters({1, 2, 3, 4, 0.5, -10, 1, 1, 0.25});
   // x=(1,1): h = relu(1+2+0.5, 3+4-10) = (3.5, 0); y = 3.5 + 0 + 0.25.
   const auto y = net.forward({1.0, 1.0});
   ASSERT_EQ(y.size(), 1u);
@@ -98,11 +100,11 @@ TEST(Mlp, NumericalGradientCheck) {
   for (int trial = 0; trial < 64; ++trial) {
     const std::size_t i = pick.next_below(net.parameter_count());
     const double orig = net.parameters()[i];
-    net.parameters()[i] = orig + eps;
+    net.set_parameter(i, orig + eps);
     const double lp = loss();
-    net.parameters()[i] = orig - eps;
+    net.set_parameter(i, orig - eps);
     const double lm = loss();
-    net.parameters()[i] = orig;
+    net.set_parameter(i, orig);
     const double numeric = (lp - lm) / (2 * eps);
     EXPECT_NEAR(analytic[i], numeric, 1e-4 * std::max(1.0, std::abs(numeric)))
         << "param " << i;
@@ -244,6 +246,242 @@ TEST(Mlp, SoftUpdateBlends) {
   EXPECT_NEAR(a.parameters()[0], 0.75 * a0 + 0.25 * b0, 1e-12);
   a.copy_parameters_from(b);
   EXPECT_EQ(a.parameters(), b.parameters());
+}
+
+// ---------------------------------------------------------- vector levels ----
+
+// Every level must give the results of the plain scalar sums, bit for bit.
+// The reference below walks one row at a time in the documented order:
+// forward sums a bias then its inputs ascending; backward takes rows in
+// order, each adding scale * d * a to a weight's gradient and forming the
+// input gradient from 0.0 over outputs ascending.
+struct ScalarNet {
+  std::vector<int> sizes;
+  std::vector<double> p;  // Mlp::parameters() layout
+
+  std::size_t w_off(std::size_t l) const {
+    std::size_t off = 0;
+    for (std::size_t k = 0; k < l; ++k) off += static_cast<std::size_t>(sizes[k] + 1) * sizes[k + 1];
+    return off;
+  }
+  std::size_t b_off(std::size_t l) const {
+    return w_off(l) + static_cast<std::size_t>(sizes[l]) * sizes[l + 1];
+  }
+
+  // Activations of every layer for one row.
+  std::vector<std::vector<double>> forward(const std::vector<double>& x) const {
+    std::vector<std::vector<double>> act = {x};
+    for (std::size_t l = 0; l + 1 < sizes.size(); ++l) {
+      const int in = sizes[l], out = sizes[l + 1];
+      std::vector<double> y(out);
+      for (int o = 0; o < out; ++o) {
+        double sum = p[b_off(l) + o];
+        for (int i = 0; i < in; ++i) sum += p[w_off(l) + o * in + i] * act[l][i];
+        y[o] = l + 2 < sizes.size() && sum < 0.0 ? 0.0 : sum;
+      }
+      act.push_back(y);
+    }
+    return act;
+  }
+
+  // One row's backward: accumulates into `g`, returns dLoss/dInput.
+  std::vector<double> backward(const std::vector<double>& x, const double* dout, double scale,
+                               std::vector<double>& g) const {
+    const auto act = forward(x);
+    std::vector<double> delta(dout, dout + sizes.back());
+    for (std::size_t l = sizes.size() - 1; l-- > 0;) {
+      const int in = sizes[l], out = sizes[l + 1];
+      if (l + 2 < sizes.size())
+        for (int o = 0; o < out; ++o)
+          if (act[l + 1][o] <= 0.0) delta[o] = 0.0;
+      std::vector<double> prev(in, 0.0);
+      for (int o = 0; o < out; ++o) {
+        g[b_off(l) + o] += scale * delta[o];
+        for (int i = 0; i < in; ++i) {
+          g[w_off(l) + o * in + i] += scale * delta[o] * act[l][i];
+          prev[i] += delta[o] * p[w_off(l) + o * in + i];
+        }
+      }
+      delta = prev;
+    }
+    if (scale != 1.0)
+      for (double& d : delta) d *= scale;
+    return delta;
+  }
+};
+
+// Nets whose widths leave every remainder of every vector width: each of
+// these widths appears as an input, a hidden and an output width.
+std::vector<std::vector<int>> odd_shapes() {
+  std::vector<std::vector<int>> shapes;
+  for (const int w : {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 64, 65}) {
+    shapes.push_back({w, 17, w});
+    shapes.push_back({4, w, 1});
+    shapes.push_back({3, 64, w, 2});
+  }
+  return shapes;
+}
+
+std::vector<std::vector<double>> random_rows(Rng& rng, int n, int width) {
+  std::vector<std::vector<double>> xs(n, std::vector<double>(width));
+  for (auto& x : xs)
+    for (double& v : x) v = 4.0 * rng.next_double() - 2.0;
+  return xs;
+}
+
+class MlpAtLevel : public testing::TestWithParam<SimdLevel> {
+ protected:
+  void SetUp() override {
+    if (!host_supports(GetParam())) GTEST_SKIP() << "host lacks " << simd_level_name(GetParam());
+  }
+  Mlp make(const std::vector<int>& sizes, Rng& rng) const {
+    Mlp net(sizes, rng);
+    net.set_simd_level(GetParam());
+    return net;
+  }
+};
+
+TEST_P(MlpAtLevel, ForwardMatchesScalarSums) {
+  Rng rng(41);
+  for (const auto& sizes : odd_shapes()) {
+    const Mlp net = make(sizes, rng);
+    const ScalarNet ref{sizes, net.parameters()};
+    for (int n = 1; n <= 13; ++n) {
+      const auto xs = random_rows(rng, n, sizes.front());
+      Mlp::Cache cache;
+      const double* y = forward_rows(net, cache, xs);
+      for (int r = 0; r < n; ++r) {
+        const std::vector<double> want = ref.forward(xs[r]).back();
+        for (int o = 0; o < net.output_dim(); ++o)
+          ASSERT_EQ(bits(y[r * net.output_dim() + o]), bits(want[o]))
+              << "shape " << testing::PrintToString(sizes) << " n=" << n << " row " << r;
+      }
+    }
+  }
+}
+
+TEST_P(MlpAtLevel, BackwardMatchesScalarRowsInOrder) {
+  Rng rng(42);
+  for (const auto& sizes : odd_shapes()) {
+    Mlp net = make(sizes, rng);
+    const ScalarNet ref{sizes, net.parameters()};
+    const int in = sizes.front(), out = sizes.back();
+    for (const int n : {1, 2, 3, 13}) {
+      const auto xs = random_rows(rng, n, in);
+      std::vector<double> dout(n * out);
+      for (double& d : dout) d = 2.0 * rng.next_double() - 1.0;
+      const double scale = 1.0 / n;
+      Mlp::Cache cache;
+      forward_rows(net, cache, xs);
+      const double* din = net.backward(cache, dout.data(), scale);
+      std::vector<double> g(net.parameter_count(), 0.0);
+      for (int r = 0; r < n; ++r) {
+        const std::vector<double> want = ref.backward(xs[r], &dout[r * out], scale, g);
+        for (int i = 0; i < in; ++i)
+          ASSERT_EQ(bits(din[r * in + i]), bits(want[i]))
+              << "shape " << testing::PrintToString(sizes) << " n=" << n << " row " << r;
+      }
+      for (std::size_t i = 0; i < g.size(); ++i)
+        ASSERT_EQ(bits(net.gradients()[i]), bits(g[i]))
+            << "shape " << testing::PrintToString(sizes) << " n=" << n << " param " << i;
+      net.zero_grad();
+      // The input gradient alone, on every other row, gives those rows the
+      // same values.
+      std::vector<int> subset;
+      for (int r = n - 1; r >= 0; r -= 2) subset.insert(subset.begin(), r);
+      forward_rows(net, cache, xs);
+      const double* sub = net.input_gradient(cache, dout.data(), scale, &subset);
+      for (const int r : subset) {
+        const std::vector<double> want = ref.backward(xs[r], &dout[r * out], scale, g);
+        for (int i = 0; i < in; ++i) ASSERT_EQ(bits(sub[r * in + i]), bits(want[i])) << r;
+      }
+    }
+  }
+}
+
+TEST_P(MlpAtLevel, AdamAndPolyakMatchTheBaselineLevel) {
+  // The elementwise kernels at this level leave every parameter, moment and
+  // blend exactly where SSE2 (the x86-64 baseline) leaves them.
+  for (const auto& sizes : odd_shapes()) {
+    Rng ra(43), rb(43);
+    Mlp a = make(sizes, ra);
+    Mlp b(sizes, rb);
+    b.set_simd_level(SimdLevel::kSse2);
+    Mlp target_a = make(sizes, ra);
+    Mlp target_b(sizes, rb);
+    target_b.set_simd_level(SimdLevel::kSse2);
+    Rng data(44);
+    for (int step = 0; step < 3; ++step) {
+      const auto xs = random_rows(data, 5, sizes.front());
+      std::vector<double> dout(5 * sizes.back());
+      for (double& d : dout) d = 2.0 * data.next_double() - 1.0;
+      for (Mlp* net : {&a, &b}) {
+        Mlp::Cache cache;
+        forward_rows(*net, cache, xs);
+        net->backward(cache, dout.data(), 0.2);
+        net->adam_step(1e-2);
+      }
+      target_a.soft_update_from(a, 0.3);
+      target_b.soft_update_from(b, 0.3);
+      for (std::size_t i = 0; i < a.parameter_count(); ++i) {
+        ASSERT_EQ(bits(a.parameters()[i]), bits(b.parameters()[i])) << "adam, param " << i;
+        ASSERT_EQ(bits(target_a.parameters()[i]), bits(target_b.parameters()[i]))
+            << "polyak, param " << i;
+      }
+    }
+    // Both passes run on what the updates wrote.
+    const std::vector<double> x(sizes.front(), 0.5);
+    const std::vector<double> ya = target_a.forward(x), yb = target_b.forward(x);
+    for (std::size_t o = 0; o < ya.size(); ++o) ASSERT_EQ(bits(ya[o]), bits(yb[o]));
+  }
+}
+
+TEST_P(MlpAtLevel, SetterWritesReachTheNextForward) {
+  Rng rng(45);
+  Mlp net = make({3, 9, 2}, rng);
+  const std::vector<double> x = {0.3, -0.8, 1.2};
+  std::vector<double> p = net.parameters();
+  for (double& v : p) v = 2.0 * rng.next_double() - 1.0;
+  net.set_parameters(p);
+  ScalarNet ref{{3, 9, 2}, p};
+  auto y = net.forward(x);
+  auto want = ref.forward(x).back();
+  for (int o = 0; o < 2; ++o) EXPECT_EQ(bits(y[o]), bits(want[o]));
+  // One weight of each layer, through the one-parameter setter.
+  for (const std::size_t i : {ref.w_off(0) + 5, ref.w_off(1) + 11}) {
+    ref.p[i] += 0.75;
+    net.set_parameter(i, ref.p[i]);
+    y = net.forward(x);
+    want = ref.forward(x).back();
+    for (int o = 0; o < 2; ++o) EXPECT_EQ(bits(y[o]), bits(want[o])) << "param " << i;
+  }
+  EXPECT_THROW(net.set_parameters({1.0}), std::invalid_argument);
+  EXPECT_THROW(net.set_parameter(net.parameter_count(), 0.0), std::out_of_range);
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, MlpAtLevel,
+                         testing::Values(SimdLevel::kSse2, SimdLevel::kAvx2, SimdLevel::kAvx512f),
+                         [](const testing::TestParamInfo<SimdLevel>& info) {
+                           return std::string(simd_level_name(info.param));
+                         });
+
+TEST(Mlp, RunsTheHostLevelAndRefusesOnesItLacks) {
+  Rng rng(46);
+  Mlp net({2, 3, 1}, rng);
+  EXPECT_EQ(net.simd_level(), host_simd_level());
+  for (const SimdLevel level : {SimdLevel::kSse2, SimdLevel::kAvx2, SimdLevel::kAvx512f}) {
+    if (host_supports(level)) {
+      net.set_simd_level(level);
+      EXPECT_EQ(net.simd_level(), level);
+    } else {
+      EXPECT_THROW(net.set_simd_level(level), std::invalid_argument);
+    }
+  }
+  EXPECT_TRUE(host_supports(SimdLevel::kSse2));  // the x86-64 baseline
+  // A level wider than any the host runs is refused on every host.
+  const auto beyond = static_cast<SimdLevel>(static_cast<int>(SimdLevel::kAvx512f) + 1);
+  EXPECT_THROW(net.set_simd_level(beyond), std::invalid_argument);
+  EXPECT_EQ(net.simd_level(), host_simd_level());  // the refusal changed nothing
 }
 
 // ----------------------------------------------------------- ReplayBuffer ----

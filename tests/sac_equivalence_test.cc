@@ -12,16 +12,21 @@
 // both losses, the temperature and the next stochastic action (which takes
 // the next RNG draws) must match bit for bit. The configurations cover
 // terminal transitions, a buffer smaller than the batch, a 2-d action, a 5-d
-// state and hidden widths that exercise every register-block remainder.
+// state and hidden widths that exercise every register-block remainder. Each
+// runs at the host's default vector level and again at every level the host
+// supports (common/simd_level.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd_level.h"
 #include "rl/mlp.h"
 #include "rl/replay_buffer.h"
 #include "rl/sac.h"
@@ -320,11 +325,58 @@ class RefSac {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Feeds both agents `rounds` rounds of `per_round` random transitions
-/// (terminal with probability `p_done`), each round followed by `steps`
-/// updates, then asserts bit-equal state.
-void expect_equivalent(const SacConfig& cfg, double p_done, int rounds, int per_round, int steps) {
+/// One configuration of the differential run: both agents take `rounds`
+/// rounds of `per_round` random transitions (terminal with probability
+/// `p_done`), each round followed by `steps` updates.
+struct Case {
+  const char* name;
+  SacConfig cfg;
+  double p_done;
+  int rounds, per_round, steps;
+};
+
+SacConfig with_seed(std::uint64_t seed) {
+  SacConfig cfg;
+  cfg.seed = seed;
+  return cfg;
+}
+
+const std::vector<Case>& cases() {
+  static const std::vector<Case> kCases = [] {
+    std::vector<Case> c;
+    c.push_back({"DefaultConfig", SacConfig{}, 0.0, 10, 20, 10});
+    c.push_back({"TerminalTransitions", with_seed(21), 0.4, 6, 20, 4});
+    c.push_back({"AllTerminalTransitions", with_seed(22), 1.0, 4, 20, 3});
+    SacConfig small = with_seed(23);
+    small.min_buffer_for_update = 5;
+    c.push_back({"BufferSmallerThanBatch", small, 0.2, 7, 3, 3});  // batches of 6, 9, ... 21
+    SacConfig two_d = with_seed(24);
+    two_d.action_dim = 2;
+    two_d.target_entropy = -2.0;
+    c.push_back({"TwoDimensionalAction", two_d, 0.2, 6, 20, 4});
+    SacConfig five_d = with_seed(25);
+    five_d.state_dim = 5;
+    c.push_back({"FiveDimensionalState", five_d, 0.2, 6, 20, 4});
+    // Width 5 and 7 leave remainders in every blocked loop; batch 13 leaves an
+    // odd row in the 2-row and 4-row blocks; the 2-d action gives a narrow
+    // output layer of width 4 (actor) beside width 1 (critics).
+    SacConfig odd = with_seed(26);
+    odd.hidden = {5, 7};
+    odd.action_dim = 2;
+    odd.batch_size = 13;
+    odd.min_buffer_for_update = 13;
+    c.push_back({"OddHiddenWidthsHitEveryBlockRemainder", odd, 0.3, 30, 10, 5});
+    return c;
+  }();
+  return kCases;
+}
+
+/// Runs `c` on both agents, the batched one at `level`, then asserts
+/// bit-equal state.
+void expect_equivalent(const Case& c, SimdLevel level) {
+  const SacConfig& cfg = c.cfg;
   SacAgent agent(cfg);
+  agent.set_simd_level(level);
   RefSac ref(cfg);
   Rng env(cfg.seed + 1000);
   const auto draw = [&](int dim, double lo, double hi) {
@@ -332,18 +384,18 @@ void expect_equivalent(const SacConfig& cfg, double p_done, int rounds, int per_
     for (double& x : v) x = lo + (hi - lo) * env.next_double();
     return v;
   };
-  for (int round = 0; round < rounds; ++round) {
-    for (int i = 0; i < per_round; ++i) {
+  for (int round = 0; round < c.rounds; ++round) {
+    for (int i = 0; i < c.per_round; ++i) {
       const std::vector<double> s = draw(cfg.state_dim, -1.0, 2.0);
       const std::vector<double> a = draw(cfg.action_dim, -1.0, 1.0);
       const double r = 4.0 * env.next_double() - 1.0;
       const std::vector<double> s2 = draw(cfg.state_dim, -1.0, 2.0);
-      const bool done = env.next_bool(p_done);
+      const bool done = env.next_bool(c.p_done);
       agent.observe(s, a, r, s2, done);
       ref.observe(s, a, r, s2, done);
     }
-    agent.update(steps);
-    ref.update(steps);
+    agent.update(c.steps);
+    ref.update(c.steps);
   }
   ASSERT_GT(agent.updates_performed(), 0u);
 
@@ -369,54 +421,35 @@ void expect_equivalent(const SacConfig& cfg, double p_done, int rounds, int per_
   EXPECT_EQ(bits(agent.q_value(probe, a_want)), bits(ref.q_value(probe, a_want)));
 }
 
-TEST(SacEquivalence, DefaultConfig) { expect_equivalent(SacConfig{}, 0.0, 10, 20, 10); }
-
-TEST(SacEquivalence, TerminalTransitions) {
-  SacConfig cfg;
-  cfg.seed = 21;
-  expect_equivalent(cfg, 0.4, 6, 20, 4);
-}
-
-TEST(SacEquivalence, AllTerminalTransitions) {
-  SacConfig cfg;
-  cfg.seed = 22;
-  expect_equivalent(cfg, 1.0, 4, 20, 3);
-}
-
-TEST(SacEquivalence, BufferSmallerThanBatch) {
-  SacConfig cfg;
-  cfg.seed = 23;
-  cfg.min_buffer_for_update = 5;
-  expect_equivalent(cfg, 0.2, 7, 3, 3);  // batches of 6, 9, ... 21 of 64
-}
-
-TEST(SacEquivalence, TwoDimensionalAction) {
-  SacConfig cfg;
-  cfg.seed = 24;
-  cfg.action_dim = 2;
-  cfg.target_entropy = -2.0;
-  expect_equivalent(cfg, 0.2, 6, 20, 4);
-}
-
-TEST(SacEquivalence, FiveDimensionalState) {
-  SacConfig cfg;
-  cfg.seed = 25;
-  cfg.state_dim = 5;
-  expect_equivalent(cfg, 0.2, 6, 20, 4);
-}
-
+// Each case at the level the host picks by default...
+TEST(SacEquivalence, DefaultConfig) { expect_equivalent(cases()[0], host_simd_level()); }
+TEST(SacEquivalence, TerminalTransitions) { expect_equivalent(cases()[1], host_simd_level()); }
+TEST(SacEquivalence, AllTerminalTransitions) { expect_equivalent(cases()[2], host_simd_level()); }
+TEST(SacEquivalence, BufferSmallerThanBatch) { expect_equivalent(cases()[3], host_simd_level()); }
+TEST(SacEquivalence, TwoDimensionalAction) { expect_equivalent(cases()[4], host_simd_level()); }
+TEST(SacEquivalence, FiveDimensionalState) { expect_equivalent(cases()[5], host_simd_level()); }
 TEST(SacEquivalence, OddHiddenWidthsHitEveryBlockRemainder) {
-  // Width 5 and 7 leave remainders in every blocked loop; batch 13 leaves an
-  // odd row in the 2-row and 4-row blocks; the 2-d action gives a narrow
-  // output layer of width 4 (actor) beside width 1 (critics).
-  SacConfig cfg;
-  cfg.seed = 26;
-  cfg.hidden = {5, 7};
-  cfg.action_dim = 2;
-  cfg.batch_size = 13;
-  cfg.min_buffer_for_update = 13;
-  expect_equivalent(cfg, 0.3, 30, 10, 5);
+  expect_equivalent(cases()[6], host_simd_level());
 }
+
+// ...and at every level this host runs: each must match the transcription
+// bit for bit, so all levels agree with each other.
+class SacEquivalenceAtLevel : public testing::TestWithParam<std::tuple<SimdLevel, int>> {};
+
+TEST_P(SacEquivalenceAtLevel, MatchesSampleAtATimeReference) {
+  const auto [level, c] = GetParam();
+  if (!host_supports(level)) GTEST_SKIP() << "host lacks " << simd_level_name(level);
+  expect_equivalent(cases()[c], level);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, SacEquivalenceAtLevel,
+    testing::Combine(testing::Values(SimdLevel::kSse2, SimdLevel::kAvx2, SimdLevel::kAvx512f),
+                     testing::Range(0, 7)),
+    [](const testing::TestParamInfo<std::tuple<SimdLevel, int>>& info) {
+      return std::string(simd_level_name(std::get<0>(info.param))) + "_" +
+             cases()[std::get<1>(info.param)].name;
+    });
 
 }  // namespace
 }  // namespace mtat
