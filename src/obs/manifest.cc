@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "common/host_cpus.h"
 #include "common/simd_level.h"
 #include "obs/json.h"
 
@@ -22,6 +23,7 @@ void RunManifest::write_json(std::ostream& os) const {
   json_string(os, build_git_sha());
   os << ",\"simd\":";
   json_string(os, simd_level_name(host_simd_level()));
+  os << ",\"lanes\":" << host_lane_limit();
   os << ",\"scale\":";
   json_string(os, scale.empty() ? "custom" : scale);
   os << ",\"seed\":" << seed;

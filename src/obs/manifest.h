@@ -4,7 +4,8 @@
 // produced it. RunManifest captures what a reader needs to re-run the
 // experiment — tool name, scale preset, seed, training epochs, the git SHA
 // the binary was built from, the host's vector level (which kernels ran, see
-// common/simd_level.h), and free-form config key/values — and writes it
+// common/simd_level.h), the tenant lanes the host allows a sim
+// (common/host_cpus.h), and free-form config key/values — and writes it
 // as a small JSON document next to the data (schema "mtat.run_manifest/1",
 // documented in DESIGN.md "Observability").
 #pragma once

@@ -53,6 +53,8 @@ inline constexpr const char* kQueueCompleted = "queue.completed";
 inline constexpr const char* kQueueBacklogPeak = "queue.backlog_peak";
 inline constexpr const char* kSimIntervals = "sim.intervals";
 inline constexpr const char* kSimMeasuredIntervals = "sim.measured_intervals";
+inline constexpr const char* kSimTenantPhaseWallUs = "sim.tenant_phase_wall_us";
+inline constexpr const char* kSimLaneJoinWallUs = "sim.lane_join_wall_us";
 inline constexpr const char* kBwFmemFactor = "bw.fmem_factor";
 inline constexpr const char* kBwSmemFactor = "bw.smem_factor";
 inline constexpr const char* kBwTier2Factor = "bw.tier2_factor";
@@ -137,7 +139,8 @@ inline constexpr const char* kAllMetricNames[] = {
     kMigrationLink2PagesMoved, kPolicyWallUs, kPolicyWallUsHist, kPpmDecideWallUs,
     kPpmDecisions, kPpmViolations, kPpmGuardTrips, kPpmReward, kPpePlans, kPpePlanPages,
     kRlUpdates, kRlCriticLoss, kRlActorLoss, kRlAlpha, kQueueArrivals, kQueueCompleted,
-    kQueueBacklogPeak, kSimIntervals, kSimMeasuredIntervals, kBwFmemFactor, kBwSmemFactor,
+    kQueueBacklogPeak, kSimIntervals, kSimMeasuredIntervals, kSimTenantPhaseWallUs,
+    kSimLaneJoinWallUs, kBwFmemFactor, kBwSmemFactor,
     kBwTier2Factor, kBwTier3Factor, kLcFmemRatio, kLcFmemShare, kMtatLcQuotaPages,
     kDerivedMigrationBytesPerSec,
     kDerivedPolicyWallUsPerInterval, kFaultSamplesDropped, kFaultSamplesCorrupted,

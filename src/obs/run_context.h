@@ -74,11 +74,19 @@ class RunContext {
   /// machinery (watchdog, plan abandonment) to arm itself.
   faults::FaultInjector* faults() const { return faults_.get(); }
 
+  /// Marks a context whose run executes on a worker of a thread pool
+  /// (experiments::ParallelRunner with more than one job). The pool already
+  /// spreads runs over the CPUs, so a sim on it starts no tenant lanes of
+  /// its own (DESIGN.md §14.7).
+  void set_pool_worker(bool on) { pool_worker_ = on; }
+  bool pool_worker() const { return pool_worker_; }
+
  private:
   MetricsRegistry metrics_;
   std::unique_ptr<TraceRecorder> owned_trace_;  // kPrivate only
   TraceRecorder* trace_;                        // owned or the global recorder
   std::unique_ptr<faults::FaultInjector> faults_;
+  bool pool_worker_ = false;
 };
 
 /// The process-wide recorder (the one obs::trace() returns), exposed so the

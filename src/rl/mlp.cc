@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <immintrin.h>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -310,6 +311,25 @@ template <class V>
   input_grad_tail<V>(rs, m, d, w, a, dp, in, out, relu, wide);
 }
 
+// Lane-wise square root in place, one instruction per vector. IEEE 754
+// rounds sqrt correctly, so every width gives the bits std::sqrt gives
+// (which -fmath-errno keeps scalar). Not always_inline: a callee with a
+// wider target is inlined only once the template calling it sits in a
+// caller of that target. By reference, so no vector crosses a call ABI.
+[[gnu::target("sse2")]] inline void sqrt_lanes(Lanes<2>::type& x) {
+  x = reinterpret_cast<Lanes<2>::type>(_mm_sqrt_pd(reinterpret_cast<__m128d>(x)));
+}
+[[gnu::target("avx")]] inline void sqrt_lanes(Lanes<4>::type& x) {
+  x = reinterpret_cast<Lanes<4>::type>(_mm256_sqrt_pd(reinterpret_cast<__m256d>(x)));
+}
+[[gnu::target("avx512f")]] inline void sqrt_lanes(Lanes<8>::type& x) {
+  // The zero-masking form with every lane set: _mm512_sqrt_pd's undefined
+  // pass-through operand trips -Wmaybe-uninitialized on GCC 12.
+  x = reinterpret_cast<Lanes<8>::type>(
+      _mm512_maskz_sqrt_pd(0xFF, reinterpret_cast<__m512d>(x)));
+}
+inline void sqrt_lanes(double& x) { x = std::sqrt(x); }
+
 // Adam on kLanes<V> adjacent parameters, each exactly as the scalar update.
 template <class V>
 [[gnu::always_inline]] inline void adam_lanes(double* p, double* m, double* v, const double* g,
@@ -322,12 +342,7 @@ template <class V>
   mv = a.beta1 * mv + (1.0 - a.beta1) * gv;
   vv = a.beta2 * vv + (1.0 - a.beta2) * gv * gv;
   V root = vv / a.bc2;
-  if constexpr (kLanes<V> == 1) {
-    root = std::sqrt(root);
-  } else {
-#pragma GCC unroll 8
-    for (int k = 0; k < kLanes<V>; ++k) root[k] = std::sqrt(root[k]);
-  }
+  sqrt_lanes(root);
   pv -= a.lr * (mv / a.bc1) / (root + a.eps);
   store(p, pv);
   store(m, mv);
@@ -451,17 +466,18 @@ std::vector<double> Mlp::forward(const std::vector<double>& x) const {
   return std::vector<double>(y, y + output_dim());
 }
 
-const double* Mlp::backward(Cache& cache, const double* dout, double scale) {
-  return backprop(cache, dout, scale, nullptr, grads_.data());
+const double* Mlp::backward(Cache& cache, const double* dout, double scale, bool input_grad) {
+  return backprop(cache, dout, scale, nullptr, grads_.data(), input_grad);
 }
 
 const double* Mlp::input_gradient(Cache& cache, const double* dout, double scale,
                                   const std::vector<int>* rows) const {
-  return backprop(cache, dout, scale, rows, nullptr);
+  return backprop(cache, dout, scale, rows, nullptr, true);
 }
 
 const double* Mlp::backprop(Cache& cache, const double* dout, double scale,
-                            const std::vector<int>* rows, double* grads) const {
+                            const std::vector<int>* rows, double* grads,
+                            bool input_grad) const {
   check_shape(cache);
   const int n = cache.rows;
   if (rows == nullptr) {
@@ -490,6 +506,7 @@ const double* Mlp::backprop(Cache& cache, const double* dout, double scale,
         for (int o = 0; o < l.out; ++o) gb[o] += sd[r * l.out + o];
       kern.weight_grad(grads + l.w_off, sd, a_in, n, l.in, l.out);
     }
+    if (li == 0 && !input_grad) return nullptr;
     cache.dprev.resize(static_cast<std::size_t>(n) * l.in);
     // Below the first layer, the input is a ReLU output: the kernel applies
     // its derivative, so dprev is the previous layer's delta.

@@ -54,8 +54,11 @@ class Mlp {
   /// the forward pass in `cache`. Accumulates parameter gradients scaled by
   /// `scale` (e.g. 1/batch), taking rows in order, and returns dLoss/dInput
   /// (`rows × input_dim()`, scaled the same way) — SAC's actor update
-  /// differentiates the critic with respect to the action.
-  const double* backward(Cache& cache, const double* dout, double scale = 1.0);
+  /// differentiates the critic with respect to the action. With
+  /// `input_grad` false the first layer's input gradient is not formed and
+  /// the result is null; the parameter gradients are the same.
+  const double* backward(Cache& cache, const double* dout, double scale = 1.0,
+                         bool input_grad = true);
 
   /// dLoss/dInput alone, as backward() returns it, for the rows listed in
   /// `rows` (every row when null); other rows of the result are unspecified.
@@ -115,7 +118,7 @@ class Mlp {
   void rebuild_mirror();
   void check_shape(const Cache& cache) const;
   const double* backprop(Cache& cache, const double* dout, double scale,
-                         const std::vector<int>* rows, double* grads) const;
+                         const std::vector<int>* rows, double* grads, bool input_grad) const;
 
   std::vector<int> sizes_;
   std::vector<Layer> layers_;

@@ -239,8 +239,8 @@ void SacAgent::update_once() {
     s.dout1[r] = 2.0 * (q1v[r] - y);
     s.dout2[r] = 2.0 * (q2v[r] - y);
   }
-  q1_.backward(s.q1, s.dout1.data(), inv_b);
-  q2_.backward(s.q2, s.dout2.data(), inv_b);
+  q1_.backward(s.q1, s.dout1.data(), inv_b, /*input_grad=*/false);
+  q2_.backward(s.q2, s.dout2.data(), inv_b, /*input_grad=*/false);
   q1_.adam_step(cfg_.critic_lr);
   q2_.adam_step(cfg_.critic_lr);
   last_critic_loss_ = critic_loss;
@@ -294,7 +294,7 @@ void SacAgent::update_once() {
       if (!clamped) dhead[dim + d] = g_raw * std::exp(log_std[d]) * eps[d] - (temp * inv_b);
     }
   }
-  actor_.backward(s.actor, s.dhead.data(), 1.0);
+  actor_.backward(s.actor, s.dhead.data(), 1.0, /*input_grad=*/false);
   actor_.adam_step(cfg_.actor_lr);
   last_actor_loss_ = actor_loss;
 

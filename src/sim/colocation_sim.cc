@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/host_cpus.h"
 #include "common/state_archive.h"
 #include "obs/names.h"
 
@@ -155,6 +156,7 @@ ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : c
     }
   }
 
+  lane_cap_ = host_lane_limit();
   bw_factor_.fill(1.0);
   next_interval_ = cfg.interval;
   reset_stats();
@@ -177,6 +179,9 @@ void ColocationSim::run(const LoadPattern& pattern, Duration duration, bool meas
   const SimTime end = now_ + duration;
   double offered_now = pattern.rate_at(0);
   SimTime interval_start = now_;
+  const bool use_lanes = lanes_allowed();
+  std::optional<TenantLanes> lanes;  // joined before run() returns
+  last_run_lanes_ = 0;
   while (now_ < end) {
     tr.set_now(now_);
     const Duration dt = std::min<Duration>(cfg_.tick, end - now_);
@@ -184,8 +189,13 @@ void ColocationSim::run(const LoadPattern& pattern, Duration duration, bool meas
     apply_contention(pattern.rate_at(now_ - (end - duration)));
     engine_->begin_interval(dt);
     policy_->on_tick(now_, dt);
-    for (auto& bw : be_) bw->tick(dt);
-    queue_->run_until(now_ + dt);
+    for (auto& bw : be_) bw->prepare(dt);
+    if (use_lanes) {
+      tenant_phase_on_lanes(lanes, now_ + dt);
+    } else {
+      for (auto& bw : be_) bw->emit();
+      queue_->run_until(now_ + dt);
+    }
     now_ += dt;
     if (inj_ != nullptr) inj_->set_now(now_);
     if (now_ >= next_interval_) {
@@ -217,6 +227,36 @@ void ColocationSim::run(const LoadPattern& pattern, Duration duration, bool meas
       interval_start = now_;
     }
   }
+}
+
+void ColocationSim::set_tenant_lanes(std::size_t max) {
+  lane_cap_ = std::min(max, host_lane_limit());
+}
+
+bool ColocationSim::lanes_allowed() const {
+  return lane_cap_ > 0 && !be_.empty() && !ctx_->pool_worker() &&
+         sampler_->per_workload_ingest();
+}
+
+void ColocationSim::tenant_phase_on_lanes(std::optional<TenantLanes>& lanes, SimTime until) {
+  // Everything a lane could allocate is sized here, on this thread: a lane
+  // that allocated would grow a malloc arena of its own (DESIGN.md §14.7).
+  for (auto& bw : be_) sampler_->prepare_ingest(bw->id(), bw->pending_samples());
+  if (!lanes) {
+    std::vector<BEWorkload*> tenants;
+    for (auto& bw : be_) tenants.push_back(bw.get());
+    lanes.emplace(tenants, lane_cap_);
+    last_run_lanes_ = lanes->size();
+    tenant_phase_wall_c_ = &metrics().counter(obs::names::kSimTenantPhaseWallUs);
+    lane_join_wall_c_ = &metrics().counter(obs::names::kSimLaneJoinWallUs);
+  }
+  obs::WallSpan phase(nullptr, obs::names::kSimTenantPhaseWallUs, obs::names::kCatSim,
+                      tenant_phase_wall_c_);
+  lanes->fork();
+  queue_->run_until(until);
+  obs::WallSpan join(nullptr, obs::names::kSimLaneJoinWallUs, obs::names::kCatSim,
+                     lane_join_wall_c_);
+  lanes->join();
 }
 
 void ColocationSim::apply_contention(double lc_offered_rps) {

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "policy/policy.h"
 #include "policy/static_policy.h"
 #include "policy/tpp_policy.h"
+#include "sim/tenant_lanes.h"
 #include "telemetry/access_sampler.h"
 #include "workloads/be/be_workload.h"
 #include "workloads/lc/lc_workload.h"
@@ -275,6 +277,15 @@ class ColocationSim {
   /// The observability context this sim records into (owned or borrowed).
   obs::RunContext& run_context() { return *ctx_; }
 
+  /// Caps the tenant lanes a run() may start at `max` (0: every tick runs
+  /// inline). The cap never exceeds host_lane_limit(), which is also the
+  /// default. Lanes change no output (DESIGN.md §14.7); tests force them on
+  /// and off with this.
+  void set_tenant_lanes(std::size_t max);
+
+  /// Lanes the last run() call ran its BE tenants on; 0 when it ran inline.
+  std::size_t last_run_lanes() const { return last_run_lanes_; }
+
  private:
   /// Saves or loads every mutable field (common/state_archive.h): the
   /// clock, each component, the measurement bookkeeping and the registry.
@@ -282,6 +293,13 @@ class ColocationSim {
   void record_interval(double offered_rps, Duration lc_p99, Duration interval);
   void apply_contention(double lc_offered_rps);
   void update_derived_gauges();
+  /// Whether run() may move BE sample streams onto tenant lanes: a cap
+  /// above 0, BE tenants, no pool worker, and every sample consumer
+  /// belonging to the sample's own workload.
+  bool lanes_allowed() const;
+  /// A tick's prepared BE samples on `lanes` (started here on the first
+  /// call), beside the LC queue up to `until` on this thread.
+  void tenant_phase_on_lanes(std::optional<TenantLanes>& lanes, SimTime until);
 
   SimConfig cfg_;
   // Declared before the components so an owned context is destroyed after
@@ -317,6 +335,12 @@ class ColocationSim {
   obs::Counter* measured_intervals_c_ = nullptr;  // "sim.measured_intervals"
   obs::Counter* pages_moved_c_ = nullptr;      // "migration.pages_moved" (engine-fed)
   obs::Gauge* bw_factor_g_[kMaxTiers] = {};  // "bw.*_factor", tiers 0..3
+  // Registered when lanes first start (wall-exempt, not state).
+  obs::Counter* tenant_phase_wall_c_ = nullptr;  // "sim.tenant_phase_wall_us"
+  obs::Counter* lane_join_wall_c_ = nullptr;     // "sim.lane_join_wall_us"
+
+  std::size_t lane_cap_ = 0;  // set_tenant_lanes; host_lane_limit() by default
+  std::size_t last_run_lanes_ = 0;
 
   // Measurement phase bookkeeping. The §5.5 overhead aggregates are derived
   // from registry counters relative to marks captured at reset_stats().

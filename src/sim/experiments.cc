@@ -96,6 +96,7 @@ void ParallelRunner::run_all(const std::vector<RunSpec>& specs) {
   if (pool <= 1) {
     worker();
   } else {
+    for (const auto& ctx : ctxs) ctx->set_pool_worker(true);
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(pool));
     for (int t = 0; t < pool; ++t) threads.emplace_back(worker);

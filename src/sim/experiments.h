@@ -59,6 +59,9 @@ struct RunSpec {
 /// independent of scheduling. Private recorders are only enabled (and their
 /// rings only allocated) when the global recorder is already enabled.
 ///
+/// With more than one worker, every context is marked a pool worker's
+/// (RunContext::set_pool_worker), so sims on the pool start no tenant lanes.
+///
 /// Exceptions thrown by a spec stop workers from claiming further specs; the
 /// first exception (in claim order) is rethrown from run_all after the pool
 /// joins, and no trace merging happens on the error path.

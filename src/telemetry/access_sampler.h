@@ -76,19 +76,44 @@ class AccessSampler : public AccessObserver {
   void on_samples(WorkloadId w, std::span<PageId> pages, AccessKind kind) override {
     if (faults_ != nullptr) pages = apply_faults(w, pages);
     if (pages.empty()) return;
-    if (current_.size() <= w) {
-      current_.resize(static_cast<std::size_t>(w) + 1);
-      cumulative_.resize(static_cast<std::size_t>(w) + 1);
-    }
-    IntervalCounters& c = current_[w];
+    if (current_.size() <= w) grow_rows(w);
+    // Tiers are counted locally and added once: rows of concurrent tenant
+    // lanes share cache lines, and integer sums do not depend on grouping.
+    std::array<std::uint64_t, kMaxTiers> tiers{};
     for (std::size_t i = 0; i < pages.size(); ++i) {
       if (pages.size() - i > kAhead) mem_->prefetch(pages[i + kAhead]);
-      ++c.tier_accesses[mem_->tier_of(pages[i])];
+      ++tiers[mem_->tier_of(pages[i])];
     }
+    IntervalCounters& c = current_[w];
+    for (std::size_t t = 0; t < tiers.size(); ++t) c.tier_accesses[t] += tiers[t];
     (kind == AccessKind::kRead ? c.reads : c.writes) += pages.size();
     for (PageHotness* h : sinks_) h->record_batch(w, pages);
     for (const auto& cb : callbacks_)
       for (const PageId p : pages) cb(w, p, kind);
+  }
+
+  /// True when every consumer of a sample belongs to the sample's own
+  /// workload: no fault injector (its draws are one stream across
+  /// workloads), no per-sample callback, and every sink filtered to one
+  /// workload. Then ingests of different workloads touch disjoint state and
+  /// may run concurrently, once prepare_ingest() has run for each
+  /// (DESIGN.md §14.7).
+  bool per_workload_ingest() const {
+    if (faults_ != nullptr || !callbacks_.empty()) return false;
+    for (const PageHotness* h : sinks_)
+      if (h->workload_filter() == kInvalidWorkload) return false;
+    return true;
+  }
+
+  /// Readies a concurrent ingest of `n` samples of workload `w` that
+  /// allocates nothing: creates the counter row the first sample would
+  /// (none for n == 0, so the rows stay what the serial ingest leaves), and
+  /// reserves room for `n` more pages in every bin of `w`'s sinks.
+  void prepare_ingest(WorkloadId w, std::size_t n) {
+    if (n == 0) return;
+    if (current_.size() <= w) grow_rows(w);
+    for (PageHotness* h : sinks_)
+      if (h->workload_filter() == w) h->reserve_headroom(n);
   }
 
   /// Attach a fault injector (telemetry sample loss / corruption). Registers
@@ -175,6 +200,11 @@ class AccessSampler : public AccessObserver {
       }
     }
     return pages.first(kept);
+  }
+
+  void grow_rows(WorkloadId w) {
+    current_.resize(static_cast<std::size_t>(w) + 1);
+    cumulative_.resize(static_cast<std::size_t>(w) + 1);
   }
 
   static void accumulate(IntervalCounters& into, const IntervalCounters& from) {

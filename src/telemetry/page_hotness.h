@@ -86,6 +86,18 @@ class PageHotness : public MigrationListener {
     }
   }
 
+  /// Makes room for `n` more pages in every bin of every tier, growing a
+  /// bin's capacity geometrically when it has less. `n` samples move at
+  /// most `n` pages into any one bin, so recording them on a tracked page
+  /// set then allocates nothing. Capacity changes neither order nor
+  /// contents.
+  void reserve_headroom(std::size_t n) {
+    for (TierBins& tb : tiers_) {
+      grow(tb.bin0, n);
+      for (std::vector<PageId>& v : tb.ring) grow(v, n);
+    }
+  }
+
   /// Current (aged) access count of a page; 0 if never seen.
   std::uint32_t count_of(PageId p) const {
     return p < words_.size() && (words_[p] & kTrackedBit) ? effective_of(words_[p]) : 0;
@@ -228,6 +240,10 @@ class PageHotness : public MigrationListener {
   }
   const std::vector<PageId>& bin_ref(int tier, int b) const {
     return b == 0 ? tiers_[tier].bin0 : tiers_[tier].ring[(base_ + b - 1) % (kBins - 1)];
+  }
+
+  static void grow(std::vector<PageId>& v, std::size_t n) {
+    if (v.capacity() - v.size() < n) v.reserve(std::max(v.size() + n, 2 * v.capacity()));
   }
 
   void ensure(PageId p) {

@@ -61,7 +61,7 @@ TierValues BEWorkload::split_at_hit(double hit) const {
   return w;
 }
 
-void BEWorkload::tick(Duration dt) {
+void BEWorkload::prepare(Duration dt) {
   // Migration churn steals compute time from the tick (page copies and, for
   // fault-driven policies, the faults themselves run on the tenant's path).
   const Duration stall =
@@ -71,20 +71,24 @@ void BEWorkload::tick(Duration dt) {
   total_iterations_ += iters;
   interval_iterations_ += iters;
   if (sampler_ == nullptr) return;
-  // Emit the PEBS-like sample stream: true accesses / sample period, with a
+  // The PEBS-like sample stream: true accesses / sample period, with a
   // fractional carry so low-rate ticks still sample in the long run.
   sample_carry_ += iters * cfg_.profile.accesses_per_iteration /
                    static_cast<double>(cfg_.sample_period);
-  auto n = static_cast<std::uint64_t>(sample_carry_);
-  sample_carry_ -= static_cast<double>(n);
+  pending_samples_ = static_cast<std::uint64_t>(sample_carry_);
+  sample_carry_ -= static_cast<double>(pending_samples_);
+}
+
+void BEWorkload::emit() {
   // Drawn and ingested a stack chunk at a time: no per-tenant buffer.
   PageId batch[kSampleChunk];
-  while (n > 0) {
-    const std::span<PageId> chunk(batch, std::min<std::uint64_t>(n, kSampleChunk));
+  while (pending_samples_ > 0) {
+    const std::span<PageId> chunk(batch,
+                                  std::min<std::uint64_t>(pending_samples_, kSampleChunk));
     cfg_.profile.tables->alias.draw(rng_, chunk);
     for (PageId& p : chunk) p += first_page_;  // vpage -> page id
     sampler_->on_samples(id_, chunk, AccessKind::kRead);
-    n -= chunk.size();
+    pending_samples_ -= chunk.size();
   }
 }
 

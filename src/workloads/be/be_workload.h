@@ -101,8 +101,25 @@ class BEWorkload : public MigrationListener {
   BEWorkload& operator=(const BEWorkload&) = delete;
 
   /// Advance the workload by `dt`: accrue iterations at the placement-implied
-  /// rate and emit sampled telemetry.
-  void tick(Duration dt);
+  /// rate and emit sampled telemetry. The same as prepare(dt), then emit().
+  void tick(Duration dt) {
+    prepare(dt);
+    emit();
+  }
+
+  /// The first half of a tick: charge the migration stall, accrue iterations
+  /// at the placement-implied rate and set aside the samples they produce
+  /// (none without a sampler).
+  void prepare(Duration dt);
+
+  /// The second half: draw the samples prepare() set aside and hand them to
+  /// the sampler. Reads no placement state and writes only this tenant's RNG
+  /// and what the sampler keeps for this workload, so tenant lanes run it
+  /// concurrently with other tenants (DESIGN.md §14.7).
+  void emit();
+
+  /// Samples the last prepare() set aside that emit() has not drawn yet.
+  std::uint64_t pending_samples() const { return pending_samples_; }
 
   /// Instantaneous work rate (iterations/s) at the current placement.
   double current_rate() const { return live_rate(tier_weight_); }
@@ -189,6 +206,7 @@ class BEWorkload : public MigrationListener {
   double interval_iterations_ = 0.0;
   std::uint64_t migrations_pending_ = 0;
   double sample_carry_ = 0.0;
+  std::uint64_t pending_samples_ = 0;  // prepare() to emit(); 0 between ticks
 };
 
 }  // namespace mtat

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/host_cpus.h"
 #include "common/simd_level.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
@@ -259,6 +260,8 @@ TEST(Manifest, WritesSchemaAndFields) {
   // The vector level the kernels ran at on this host.
   EXPECT_TRUE(
       contains(s, std::string("\"simd\":\"") + simd_level_name(host_simd_level()) + "\""));
+  // The tenant lanes this host allows a sim.
+  EXPECT_TRUE(contains(s, "\"lanes\":" + std::to_string(host_lane_limit()) + ","));
   EXPECT_TRUE(contains(s, "\"scale\":\"small\""));
   EXPECT_TRUE(contains(s, "\"seed\":42"));
   EXPECT_TRUE(contains(s, "\"train_epochs\":5"));

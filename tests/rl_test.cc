@@ -147,6 +147,24 @@ TEST(Mlp, BackwardScaleAppliesEverywhere) {
   for (std::size_t i = 0; i < xs.size() * 2; ++i) EXPECT_NEAR(da[i], 0.5 * db[i], 1e-12);
 }
 
+TEST(Mlp, BackwardWithoutInputGradientLeavesTheSameGradients) {
+  // The callers that drop dLoss/dInput skip it; the parameter gradients
+  // must be the same bits.
+  Rng rng(9);
+  Mlp a({3, 8, 5, 2}, rng);
+  Mlp b({3, 8, 5, 2}, rng);
+  b.copy_parameters_from(a);
+  Mlp::Cache ca, cb;
+  const std::vector<std::vector<double>> xs = {{1.0, -1.0, 0.3}, {0.5, 2.0, -0.7},
+                                               {-1.5, 0.2, 0.9}};
+  forward_rows(a, ca, xs);
+  forward_rows(b, cb, xs);
+  const double dout[] = {1.0, -0.5, 0.25, 2.0, -1.0, 0.75};
+  EXPECT_NE(a.backward(ca, dout, 0.5), nullptr);
+  EXPECT_EQ(b.backward(cb, dout, 0.5, /*input_grad=*/false), nullptr);
+  EXPECT_EQ(a.gradients(), b.gradients());
+}
+
 TEST(Mlp, BatchedForwardMatchesRowsRunAlone) {
   // Odd batch sizes and widths leave a remainder in every register block; a
   // row's output must not depend on the batch it ran in.

@@ -53,6 +53,15 @@ smoke_dir=$(mktemp -d)
  MTAT_SCALE=smoke MTAT_JOBS=2 "${repo_root}/build-check/tsan/bench/fig9_table4_load_levels")
 rm -rf "${smoke_dir}"
 
+# Tenant lanes under TSan: one MTAT node run inline (MTAT_JOBS=1, so no pool
+# worker), whose BE sample streams run on helper threads beside the LC
+# queue (DESIGN.md §14.7). The MTAT_JOBS=2 smokes above never start lanes.
+echo "==== tenant-lanes bench smoke (TSan, MTAT_SCALE=smoke, MTAT_JOBS=1) ===="
+smoke_dir=$(mktemp -d)
+(cd "${smoke_dir}" &&
+ MTAT_SCALE=smoke MTAT_JOBS=1 "${repo_root}/build-check/tsan/bench/sec55_overhead")
+rm -rf "${smoke_dir}"
+
 # The fault-tolerance sweep end-to-end under ASan and UBSan: a full-intensity
 # storm drives every degradation path — migration rollback/backoff, telemetry
 # blackout, the watchdog ladder — exactly where lifetime and UB bugs in the
