@@ -54,7 +54,11 @@ PartitionPolicyMaker::Decision PartitionPolicyMaker::decide(std::uint64_t curren
       if (!compliant) violations_c_->inc();
     }
     agent_->observe(prev_state_, prev_action_, reward, state, /*done=*/false);
-    if (agent_->ready_to_update()) agent_->update(opt_.gradient_steps_per_interval);
+    if (agent_->ready_to_update()) {
+      obs::WallSpan span(nullptr, obs::names::kPpmSacUpdateWallUs, obs::names::kCatPolicy,
+                         sac_update_wall_c_);
+      agent_->update(opt_.gradient_steps_per_interval);
+    }
   }
 
   // Draw the next action. The SLO guard (§1's "rapid response to sudden
@@ -134,6 +138,7 @@ PartitionPolicyMaker::Decision PartitionPolicyMaker::decide(std::uint64_t curren
       d.be_pages.assign(be_models_.size(), remaining / be_models_.size());
       for (std::size_t i = 0; i < remaining % be_models_.size(); ++i) d.be_pages[i]++;
     } else if (opt_.joint_objective) {
+      obs::WallSpan span(nullptr, obs::names::kPpmSaWallUs, obs::names::kCatPolicy, sa_wall_c_);
       std::vector<std::uint64_t> caps;
       for (const auto& m : be_models_) caps.push_back(m.max_useful_pages);
       const SAResult sa =
@@ -141,6 +146,7 @@ PartitionPolicyMaker::Decision PartitionPolicyMaker::decide(std::uint64_t curren
       d.be_pages = sa.allocation;
       d.sa_objective = sa.objective;
     } else {
+      obs::WallSpan span(nullptr, obs::names::kPpmSaWallUs, obs::names::kCatPolicy, sa_wall_c_);
       const SAResult sa = anneal_be_partition(be_models_, remaining, opt_.sa, rng_);
       d.be_pages = sa.allocation;
       d.sa_objective = sa.objective;
@@ -163,6 +169,7 @@ void PartitionPolicyMaker::set_run_context(obs::RunContext* ctx) {
     decisions_c_ = violations_c_ = guard_trips_c_ = nullptr;
     nonfinite_actions_c_ = nullptr;
     reward_g_ = nullptr;
+    sac_update_wall_c_ = sa_wall_c_ = nullptr;
     trace_ = nullptr;
   } else {
     obs::MetricsRegistry& reg = ctx->metrics();
@@ -171,6 +178,8 @@ void PartitionPolicyMaker::set_run_context(obs::RunContext* ctx) {
     guard_trips_c_ = &reg.counter(obs::names::kPpmGuardTrips);
     nonfinite_actions_c_ = &reg.counter(obs::names::kPpmNonfiniteActions);
     reward_g_ = &reg.gauge(obs::names::kPpmReward);
+    sac_update_wall_c_ = &reg.counter(obs::names::kPpmSacUpdateWallUs);
+    sa_wall_c_ = &reg.counter(obs::names::kPpmSaWallUs);
     trace_ = &ctx->trace();
   }
   agent_->set_run_context(ctx);

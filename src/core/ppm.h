@@ -154,6 +154,8 @@ class PartitionPolicyMaker {
   obs::Counter* guard_trips_c_ = nullptr;
   obs::Counter* nonfinite_actions_c_ = nullptr;
   obs::Gauge* reward_g_ = nullptr;
+  obs::Counter* sac_update_wall_c_ = nullptr;  // wall-exempt
+  obs::Counter* sa_wall_c_ = nullptr;          // wall-exempt
 };
 
 }  // namespace mtat

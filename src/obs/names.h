@@ -38,6 +38,8 @@ inline constexpr const char* kMigrationLink2PagesMoved = "migration.link2_pages_
 inline constexpr const char* kPolicyWallUs = "policy.wall_us";
 inline constexpr const char* kPolicyWallUsHist = "policy.wall_us_hist";
 inline constexpr const char* kPpmDecideWallUs = "ppm.decide_wall_us";
+inline constexpr const char* kPpmSacUpdateWallUs = "ppm.sac_update_wall_us";
+inline constexpr const char* kPpmSaWallUs = "ppm.sa_wall_us";
 inline constexpr const char* kPpmDecisions = "ppm.decisions";
 inline constexpr const char* kPpmViolations = "ppm.violations";
 inline constexpr const char* kPpmGuardTrips = "ppm.guard_trips";
@@ -137,7 +139,7 @@ inline constexpr const char* kAllMetricNames[] = {
     kMigrationPagesMoved, kMigrationPromotions, kMigrationDemotions, kMigrationExchanges,
     kMigrationPagesPerTick, kMigrationLink0PagesMoved, kMigrationLink1PagesMoved,
     kMigrationLink2PagesMoved, kPolicyWallUs, kPolicyWallUsHist, kPpmDecideWallUs,
-    kPpmDecisions, kPpmViolations, kPpmGuardTrips, kPpmReward, kPpePlans, kPpePlanPages,
+    kPpmSacUpdateWallUs, kPpmSaWallUs, kPpmDecisions, kPpmViolations, kPpmGuardTrips, kPpmReward, kPpePlans, kPpePlanPages,
     kRlUpdates, kRlCriticLoss, kRlActorLoss, kRlAlpha, kQueueArrivals, kQueueCompleted,
     kQueueBacklogPeak, kSimIntervals, kSimMeasuredIntervals, kSimTenantPhaseWallUs,
     kSimLaneJoinWallUs, kBwFmemFactor, kBwSmemFactor,

@@ -27,6 +27,7 @@
 
 #include <memory>
 
+#include "common/chunk_team.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -81,12 +82,21 @@ class RunContext {
   void set_pool_worker(bool on) { pool_worker_ = on; }
   bool pool_worker() const { return pool_worker_; }
 
+  /// The helper threads this context's run may split work over, while it
+  /// holds them: ColocationSim::run() lends its tenant lanes here for the
+  /// SAC updates of its intervals (DESIGN.md §14.7). nullptr — no run in
+  /// progress, a pool worker, a node without lanes — runs every region on
+  /// the calling thread.
+  void set_chunk_team(ChunkTeam* team) { chunk_team_ = team; }
+  ChunkTeam* chunk_team() const { return chunk_team_; }
+
  private:
   MetricsRegistry metrics_;
   std::unique_ptr<TraceRecorder> owned_trace_;  // kPrivate only
   TraceRecorder* trace_;                        // owned or the global recorder
   std::unique_ptr<faults::FaultInjector> faults_;
   bool pool_worker_ = false;
+  ChunkTeam* chunk_team_ = nullptr;
 };
 
 /// The process-wide recorder (the one obs::trace() returns), exposed so the

@@ -1,6 +1,7 @@
 #include "rl/mlp.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <immintrin.h>
@@ -9,6 +10,9 @@
 #include <utility>
 
 namespace mtat {
+namespace {
+constexpr int kBlockWeights = 512;
+}  // namespace
 
 Mlp::Mlp(std::vector<int> sizes, Rng& rng) : sizes_(std::move(sizes)) {
   if (sizes_.size() < 2) throw std::invalid_argument("Mlp: need at least in/out sizes");
@@ -26,6 +30,11 @@ Mlp::Mlp(std::vector<int> sizes, Rng& rng) : sizes_(std::move(sizes)) {
     layer.b_off = off;
     off += layer.out;
     layers_.push_back(layer);
+    // About 512 weights a block: the critics' 64x64 layer splits in eight,
+    // the narrow input and output layers stay whole.
+    const int per = std::max(1, kBlockWeights / layer.in);
+    for (int o = 0; o < layer.out; o += per)
+      blocks_.push_back({static_cast<int>(l), o, std::min(o + per, layer.out)});
   }
   params_.resize(off);
   wt_.resize(t_off);
@@ -64,16 +73,14 @@ namespace {
 #pragma GCC optimize("fp-contract=off")
 #endif
 
-// Adam's hyperparameters and this step's bias corrections.
-struct AdamStep {
-  double lr, beta1, beta2, bc1, bc2, eps;
-};
+using AdamStep = Mlp::AdamStep;
 
 // One level's kernels (the arguments are documented at the templates).
 struct Kernels {
   void (*forward)(const double* wt, const double* b, const double* x, double* y, int n, int in,
                   int out, bool relu);
-  void (*weight_grad)(double* g, const double* s, const double* a, int n, int in, int out);
+  void (*weight_grad)(double* g, const double* s, const double* a, int n, int in, int out,
+                      int o0, int o1);
   void (*input_grad)(const int* rs, int m, const double* d, const double* w, const double* a,
                      double* dp, int in, int out, bool relu);
   void (*adam)(double* p, double* m, double* v, const double* g, std::size_t n,
@@ -213,29 +220,30 @@ template <class V, int kO, int kV>
 // here), 8 outputs at a time.
 template <class V>
 [[gnu::always_inline]] inline void grad_tail(double* g, const double* s, const double* a, int n,
-                                             int in, int out, int i) {
+                                             int in, int out, int o0, int o1, int i) {
   constexpr int kL = kLanes<V>;
   for (; i + kL <= in; i += kL) {
-    int o = 0;
-    for (; o + 8 <= out; o += 8) grad_block<V, 8, 1>(g + o * in + i, s + o, a + i, n, in, out);
-    for (; o < out; ++o) grad_block<V, 1, 1>(g + o * in + i, s + o, a + i, n, in, out);
+    int o = o0;
+    for (; o + 8 <= o1; o += 8) grad_block<V, 8, 1>(g + o * in + i, s + o, a + i, n, in, out);
+    for (; o < o1; ++o) grad_block<V, 1, 1>(g + o * in + i, s + o, a + i, n, in, out);
   }
-  if constexpr (kL > 1) grad_tail<Half<V>>(g, s, a, n, in, out, i);
+  if constexpr (kL > 1) grad_tail<Half<V>>(g, s, a, n, in, out, o0, o1, i);
 }
 
-// One layer's weight gradient over `n` rows: 2 outputs x 4 vectors of inputs
-// per block, then the tail.
+// One layer's weight gradient over `n` rows for outputs [o0, o1): 2 outputs
+// x 4 vectors of inputs per block, then the tail. `g` is the layer's first
+// weight gradient, `s` its first row of scaled deltas (row stride `out`).
 template <class V>
 [[gnu::always_inline]] inline void weight_grad(double* g, const double* s, const double* a,
-                                               int n, int in, int out) {
+                                               int n, int in, int out, int o0, int o1) {
   constexpr int kL = kLanes<V>;
   const int wide = in - in % (4 * kL);
   for (int i = 0; i < wide; i += 4 * kL) {
-    int o = 0;
-    for (; o + 2 <= out; o += 2) grad_block<V, 2, 4>(g + o * in + i, s + o, a + i, n, in, out);
-    if (o < out) grad_block<V, 1, 4>(g + o * in + i, s + o, a + i, n, in, out);
+    int o = o0;
+    for (; o + 2 <= o1; o += 2) grad_block<V, 2, 4>(g + o * in + i, s + o, a + i, n, in, out);
+    if (o < o1) grad_block<V, 1, 4>(g + o * in + i, s + o, a + i, n, in, out);
   }
-  grad_tail<V>(g, s, a, n, in, out, wide);
+  grad_tail<V>(g, s, a, n, in, out, o0, o1, wide);
 }
 
 // Input gradient for rows rs[0..kR) x kV vectors of inputs: dp[r][i] = 0.0 +
@@ -390,8 +398,8 @@ template <class V>
     forward_layer<V>(wt, b, x, y, n, in, out, relu);                                           \
   }                                                                                            \
   [[gnu::target(isa)]] void wgrad(double* g, const double* s, const double* a, int n, int in, \
-                                  int out) {                                                   \
-    weight_grad<V>(g, s, a, n, in, out);                                                       \
+                                  int out, int o0, int o1) {                                   \
+    weight_grad<V>(g, s, a, n, in, out, o0, o1);                                               \
   }                                                                                            \
   [[gnu::target(isa)]] void igrad(const int* rs, int m, const double* d, const double* w,      \
                                   const double* a, double* dp, int in, int out, bool relu) {   \
@@ -446,14 +454,24 @@ void Mlp::check_shape(const Cache& cache) const {
   if (!ok) throw std::invalid_argument("Mlp: cache not sized by input() for this net");
 }
 
-const double* Mlp::forward(Cache& cache) const {
+int Mlp::forward_chunks(const Cache& cache) const {
   check_shape(cache);
+  return (cache.rows + kChunkRows - 1) / kChunkRows;
+}
+
+void Mlp::forward_chunk(Cache& cache, int k) const {
   const Kernels& kern = kernels(level_);
+  const int r0 = k * kChunkRows;
+  const int n = std::min(kChunkRows, cache.rows - r0);
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& l = layers_[li];
-    kern.forward(&wt_[l.t_off], &params_[l.b_off], cache.act[li].data(), cache.act[li + 1].data(),
-              cache.rows, l.in, l.out, li + 1 < layers_.size());
+    kern.forward(&wt_[l.t_off], &params_[l.b_off], cache.act[li].data() + r0 * l.in,
+                 cache.act[li + 1].data() + r0 * l.out, n, l.in, l.out, li + 1 < layers_.size());
   }
+}
+
+const double* Mlp::forward(Cache& cache) const {
+  for (int k = 0, e = forward_chunks(cache); k < e; ++k) forward_chunk(cache, k);
   return cache.act.back().data();
 }
 
@@ -466,20 +484,12 @@ std::vector<double> Mlp::forward(const std::vector<double>& x) const {
   return std::vector<double>(y, y + output_dim());
 }
 
-const double* Mlp::backward(Cache& cache, const double* dout, double scale, bool input_grad) {
-  return backprop(cache, dout, scale, nullptr, grads_.data(), input_grad);
-}
-
-const double* Mlp::input_gradient(Cache& cache, const double* dout, double scale,
-                                  const std::vector<int>* rows) const {
-  return backprop(cache, dout, scale, rows, nullptr, true);
-}
-
-const double* Mlp::backprop(Cache& cache, const double* dout, double scale,
-                            const std::vector<int>* rows, double* grads,
-                            bool input_grad) const {
+int Mlp::begin_backprop(Cache& cache, const double* dout, double scale,
+                        const std::vector<int>* rows, bool grads, bool input_grad) const {
   check_shape(cache);
   const int n = cache.rows;
+  if (grads && rows != nullptr)
+    throw std::invalid_argument("Mlp: parameter gradients take every row");
   if (rows == nullptr) {
     cache.all_rows.resize(n);
     for (int r = 0; r < n; ++r) cache.all_rows[r] = r;
@@ -487,50 +497,106 @@ const double* Mlp::backprop(Cache& cache, const double* dout, double scale,
   }
   for (const int r : *rows)
     if (r < 0 || r >= n) throw std::invalid_argument("Mlp: row outside the batch");
-  const int* rs = rows->data();
-  const int m = static_cast<int>(rows->size());
-  const Kernels& kern = kernels(level_);
-  cache.delta.assign(dout, dout + static_cast<std::size_t>(n) * output_dim());
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    const Layer& l = layers_[li];
-    const double* a_in = cache.act[li].data();
-    const double* d = cache.delta.data();
-    if (grads != nullptr) {
-      // s[r][o] = scale * d[r][o], the factor every gradient term of (r, o)
-      // starts from.
-      cache.scaled.resize(static_cast<std::size_t>(n) * l.out);
-      double* sd = cache.scaled.data();
-      for (int k = 0; k < n * l.out; ++k) sd[k] = scale * d[k];
-      double* gb = grads + l.b_off;
-      for (int r = 0; r < n; ++r)
-        for (int o = 0; o < l.out; ++o) gb[o] += sd[r * l.out + o];
-      kern.weight_grad(grads + l.w_off, sd, a_in, n, l.in, l.out);
-    }
-    if (li == 0 && !input_grad) return nullptr;
-    cache.dprev.resize(static_cast<std::size_t>(n) * l.in);
-    // Below the first layer, the input is a ReLU output: the kernel applies
-    // its derivative, so dprev is the previous layer's delta.
-    kern.input_grad(rs, m, d, &params_[l.w_off], a_in, cache.dprev.data(), l.in, l.out, li > 0);
-    std::swap(cache.delta, cache.dprev);
+  cache.dout = dout;
+  cache.scale = scale;
+  cache.rs = rows->data();
+  cache.m = static_cast<int>(rows->size());
+  cache.grads = grads;
+  cache.input_grad = input_grad;
+  const std::size_t depth = layers_.size();
+  cache.dact.resize(depth);
+  cache.scaled.resize(grads ? depth : 0);
+  for (std::size_t l = 0; l < depth; ++l) {
+    if (l > 0 || input_grad) cache.dact[l].resize(static_cast<std::size_t>(n) * sizes_[l]);
+    if (grads) cache.scaled[l].resize(static_cast<std::size_t>(n) * sizes_[l + 1]);
   }
-  // The returned input gradient carries `scale` too, matching the parameter
-  // gradients' scaling so chained backward passes stay consistent.
-  if (scale != 1.0) {
-    const int in = input_dim();
-    for (int j = 0; j < m; ++j)
-      for (int i = rs[j] * in, e = i + in; i < e; ++i) cache.delta[i] *= scale;
-  }
-  return cache.delta.data();
+  return (cache.m + kChunkRows - 1) / kChunkRows;
 }
 
-void Mlp::adam_step(double lr, double beta1, double beta2, double eps) {
+void Mlp::backprop_chunk(Cache& cache, int k) const {
+  const Kernels& kern = kernels(level_);
+  const int* rs = cache.rs + k * kChunkRows;
+  const int m = std::min(kChunkRows, cache.m - k * kChunkRows);
+  const double* d = cache.dout;
+  for (std::size_t li = layers_.size(); li-- > 0;) {
+    const Layer& l = layers_[li];
+    if (cache.grads) {
+      // s[r][o] = scale * d[r][o], the factor every gradient term of (r, o)
+      // starts from.
+      double* sd = cache.scaled[li].data();
+      for (int j = 0; j < m; ++j)
+        for (int i = rs[j] * l.out, e = i + l.out; i < e; ++i) sd[i] = cache.scale * d[i];
+    }
+    if (li == 0 && !cache.input_grad) return;
+    // Below the first layer, the input is a ReLU output: the kernel applies
+    // its derivative, so dact[li] is the previous layer's delta.
+    double* dp = cache.dact[li].data();
+    kern.input_grad(rs, m, d, &params_[l.w_off], cache.act[li].data(), dp, l.in, l.out, li > 0);
+    d = dp;
+  }
+  // The input gradient carries `scale` too, matching the parameter
+  // gradients' scaling so chained backward passes stay consistent.
+  if (cache.scale != 1.0) {
+    const int in = input_dim();
+    double* dp = cache.dact[0].data();
+    for (int j = 0; j < m; ++j)
+      for (int i = rs[j] * in, e = i + in; i < e; ++i) dp[i] *= cache.scale;
+  }
+}
+
+void Mlp::grad_chunk(const Cache& cache, int k) {
+  const Block& b = blocks_[k];
+  const Layer& l = layers_[b.layer];
+  const int n = cache.rows;
+  const double* sd = cache.scaled[b.layer].data();
+  double* gb = &grads_[l.b_off];
+  for (int r = 0; r < n; ++r)
+    for (int o = b.o0; o < b.o1; ++o) gb[o] += sd[r * l.out + o];
+  kernels(level_).weight_grad(&grads_[l.w_off], sd, cache.act[b.layer].data(), n, l.in, l.out,
+                              b.o0, b.o1);
+}
+
+const double* Mlp::backward(Cache& cache, const double* dout, double scale, bool input_grad) {
+  for (int k = 0, e = begin_backprop(cache, dout, scale, nullptr, true, input_grad); k < e; ++k)
+    backprop_chunk(cache, k);
+  for (int k = 0; k < param_chunks(); ++k) grad_chunk(cache, k);
+  return input_grad ? cache.dact[0].data() : nullptr;
+}
+
+const double* Mlp::input_gradient(Cache& cache, const double* dout, double scale,
+                                  const std::vector<int>* rows) const {
+  for (int k = 0, e = begin_backprop(cache, dout, scale, rows, false, true); k < e; ++k)
+    backprop_chunk(cache, k);
+  return cache.dact[0].data();
+}
+
+Mlp::AdamStep Mlp::next_adam_step(double lr, double beta1, double beta2, double eps) {
   ++adam_t_;
   const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(adam_t_));
   const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(adam_t_));
-  kernels(level_).adam(params_.data(), adam_m_.data(), adam_v_.data(), grads_.data(),
-                       params_.size(), AdamStep{lr, beta1, beta2, bc1, bc2, eps});
-  zero_grad();
-  rebuild_mirror();
+  return AdamStep{lr, beta1, beta2, bc1, bc2, eps};
+}
+
+void Mlp::adam_chunk(const AdamStep& a, int k) {
+  const Block& b = blocks_[k];
+  const Kernels& kern = kernels(level_);
+  for (const auto& [at, n] : ranges(b)) {
+    kern.adam(&params_[at], &adam_m_[at], &adam_v_[at], &grads_[at], n, a);
+    std::fill_n(&grads_[at], n, 0.0);
+  }
+  write_mirror(b);
+}
+
+void Mlp::polyak_chunk(const Mlp& other, double tau, int k) {
+  const Block& b = blocks_[k];
+  const Kernels& kern = kernels(level_);
+  for (const auto& [at, n] : ranges(b)) kern.polyak(&params_[at], &other.params_[at], n, tau);
+  write_mirror(b);
+}
+
+void Mlp::adam_step(double lr, double beta1, double beta2, double eps) {
+  const AdamStep a = next_adam_step(lr, beta1, beta2, eps);
+  for (int k = 0; k < param_chunks(); ++k) adam_chunk(a, k);
 }
 
 void Mlp::zero_grad() { std::fill(grads_.begin(), grads_.end(), 0.0); }
@@ -539,14 +605,13 @@ void Mlp::copy_parameters_from(const Mlp& other) {
   if (other.params_.size() != params_.size())
     throw std::invalid_argument("Mlp: shape mismatch in copy");
   params_ = other.params_;
-  wt_ = other.wt_;
+  rebuild_mirror();
 }
 
 void Mlp::soft_update_from(const Mlp& other, double tau) {
   if (other.params_.size() != params_.size())
     throw std::invalid_argument("Mlp: shape mismatch in soft update");
-  kernels(level_).polyak(params_.data(), other.params_.data(), params_.size(), tau);
-  rebuild_mirror();
+  for (int k = 0; k < param_chunks(); ++k) polyak_chunk(other, tau, k);
 }
 
 void Mlp::set_parameters(std::vector<double> p) {
@@ -557,7 +622,11 @@ void Mlp::set_parameters(std::vector<double> p) {
 
 void Mlp::set_parameter(std::size_t i, double v) {
   params_.at(i) = v;
-  rebuild_mirror();
+  for (const Layer& l : layers_)
+    if (i >= l.w_off && i < l.b_off) {
+      const std::size_t o = (i - l.w_off) / l.in, at = (i - l.w_off) % l.in;
+      wt_[l.t_off + at * l.out + o] = v;
+    }
 }
 
 void Mlp::set_simd_level(SimdLevel level) {
@@ -568,10 +637,20 @@ void Mlp::set_simd_level(SimdLevel level) {
 }
 
 void Mlp::rebuild_mirror() {
-  for (const Layer& l : layers_)
-    for (int i = 0; i < l.in; ++i)
-      for (int o = 0; o < l.out; ++o)
-        wt_[l.t_off + i * l.out + o] = params_[l.w_off + o * l.in + i];
+  for (const Block& b : blocks_) write_mirror(b);
+}
+
+std::array<std::pair<std::size_t, std::size_t>, 2> Mlp::ranges(const Block& b) const {
+  const Layer& l = layers_[b.layer];
+  const auto outs = static_cast<std::size_t>(b.o1 - b.o0);
+  return {{{l.w_off + static_cast<std::size_t>(b.o0) * l.in, outs * l.in},
+           {l.b_off + static_cast<std::size_t>(b.o0), outs}}};
+}
+
+void Mlp::write_mirror(const Block& b) {
+  const Layer& l = layers_[b.layer];
+  for (int o = b.o0; o < b.o1; ++o)
+    for (int i = 0; i < l.in; ++i) wt_[l.t_off + i * l.out + o] = params_[l.w_off + o * l.in + i];
 }
 
 }  // namespace mtat

@@ -15,7 +15,9 @@
 // (DESIGN.md §14.4).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,8 +36,23 @@ class Mlp {
   struct Cache {
     int rows = 0;
     std::vector<std::vector<double>> act;
-    std::vector<double> delta, dprev, scaled;  // backward scratch
+    // The backward pass begin_backprop() set up: the upstream gradient, its
+    // scale, the rows it runs on and what it forms.
+    const double* dout = nullptr;
+    double scale = 1.0;
+    const int* rs = nullptr;
+    int m = 0;
+    bool grads = false, input_grad = false;
+    // dact[l] = dLoss/d act[l] on the pass's rows (l = 0 only with
+    // input_grad); scaled[l] = scale * dLoss/d act[l+1], the factor every
+    // gradient of layer l starts from (only with grads).
+    std::vector<std::vector<double>> dact, scaled;
     std::vector<int> all_rows;  // 0..rows-1, for whole-batch passes
+  };
+
+  /// Adam's hyperparameters and one step's bias corrections.
+  struct AdamStep {
+    double lr, beta1, beta2, bc1, bc2, eps;
   };
 
   /// Sizes `cache` for `rows` samples and returns the `rows × input_dim()`
@@ -76,6 +93,46 @@ class Mlp {
   /// Polyak update: p = tau * other + (1 - tau) * p.
   void soft_update_from(const Mlp& other, double tau);
 
+  // --- Chunks (DESIGN.md §14.4) ---------------------------------------------
+  // Each pass above is a loop over fixed chunks, exposed so that a caller can
+  // run them on several threads (common/chunk_team.h). Chunks of one pass
+  // write disjoint values, and every value is formed inside one chunk in its
+  // whole-pass order, so running each chunk once, in any order and on any
+  // thread, gives the pass's bits. Chunks neither allocate nor throw; the
+  // begin/next calls that size and check run on the caller.
+
+  /// Rows per forward or backprop chunk.
+  static constexpr int kChunkRows = 8;
+
+  /// Checks `cache` and returns its forward chunk count.
+  int forward_chunks(const Cache& cache) const;
+  /// Rows [8k, 8k+8) of the cache through every layer.
+  void forward_chunk(Cache& cache, int k) const;
+
+  /// Sets up a backward pass over `rows` (every row when null) from `dout`,
+  /// as backward() (`grads`: parameter gradients, all rows only) or
+  /// input_gradient() runs it, and returns its chunk count.
+  int begin_backprop(Cache& cache, const double* dout, double scale,
+                     const std::vector<int>* rows, bool grads, bool input_grad) const;
+  /// Entries [8k, 8k+8) of the pass's row list down every layer: their
+  /// deltas, their scaled deltas with `grads`, their input gradient (times
+  /// the scale) with `input_grad`.
+  void backprop_chunk(Cache& cache, int k) const;
+
+  /// Parameter chunks: each layer's outputs in fixed blocks, with their
+  /// weight rows and biases.
+  int param_chunks() const { return static_cast<int>(blocks_.size()); }
+  /// Adds block k's parameter gradients from the finished backprop in
+  /// `cache`, rows in order.
+  void grad_chunk(const Cache& cache, int k);
+  /// Counts an Adam step and returns its bias corrections.
+  AdamStep next_adam_step(double lr, double beta1 = 0.9, double beta2 = 0.999,
+                          double eps = 1e-8);
+  /// Adam on block k, zeroes its gradients and writes its mirror columns.
+  void adam_chunk(const AdamStep& a, int k);
+  /// Polyak update of block k from `other`'s, and its mirror columns.
+  void polyak_chunk(const Mlp& other, double tau, int k);
+
   int input_dim() const { return sizes_.front(); }
   int output_dim() const { return sizes_.back(); }
   std::size_t parameter_count() const { return params_.size(); }
@@ -114,14 +171,24 @@ class Mlp {
     int in, out;
   };
 
-  /// Rewrites wt_ from params_; every member that writes params_ calls it.
+  /// Outputs [o0, o1) of layer `layer`: one parameter chunk.
+  struct Block {
+    int layer, o0, o1;
+  };
+
+  /// Rewrites wt_ from params_, for the members that replace parameters
+  /// wholesale; the chunked passes write their own columns.
   void rebuild_mirror();
+  /// Block b's parameters as {offset, count} ranges: its weight rows, then
+  /// its biases.
+  std::array<std::pair<std::size_t, std::size_t>, 2> ranges(const Block& b) const;
+  /// wt_'s columns [b.o0, b.o1) of b's layer from params_.
+  void write_mirror(const Block& b);
   void check_shape(const Cache& cache) const;
-  const double* backprop(Cache& cache, const double* dout, double scale,
-                         const std::vector<int>* rows, double* grads, bool input_grad) const;
 
   std::vector<int> sizes_;
   std::vector<Layer> layers_;
+  std::vector<Block> blocks_;  // the parameter chunks, layer by layer
   std::vector<double> params_;
   std::vector<double> wt_;  // input-major weight mirror for forward()
   std::vector<double> grads_;

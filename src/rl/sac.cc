@@ -138,7 +138,8 @@ double SacAgent::q_value(const std::vector<double>& state,
 
 void SacAgent::update(int steps) {
   if (!ready_to_update()) return;
-  for (int i = 0; i < steps; ++i) update_once();
+  ChunkTeam* team = ctx_ != nullptr ? ctx_->chunk_team() : nullptr;
+  for (int i = 0; i < steps; ++i) update_once(team);
   if (updates_c_ != nullptr) {
     updates_c_->inc(steps);
     critic_loss_g_->set(last_critic_loss_);
@@ -151,6 +152,7 @@ void SacAgent::update(int steps) {
 }
 
 void SacAgent::set_run_context(obs::RunContext* ctx) {
+  ctx_ = ctx;
   if (ctx == nullptr) {
     updates_c_ = nullptr;
     critic_loss_g_ = actor_loss_g_ = alpha_g_ = nullptr;
@@ -176,7 +178,56 @@ void SacAgent::set_simd_level(SimdLevel level) {
   for (Mlp* net : {&actor_, &q1_, &q2_, &q1_target_, &q2_target_}) net->set_simd_level(level);
 }
 
-void SacAgent::update_once() {
+namespace {
+
+// One part of a region: `chunks` chunks, chunk k running run(k).
+template <class F>
+struct Part {
+  int chunks;
+  F run;
+};
+template <class F>
+Part<F> part(int chunks, F run) {
+  return {chunks, run};
+}
+
+template <class P, class... Rest>
+void run_part(int c, const P& p, const Rest&... rest) {
+  if (c < p.chunks) return p.run(c);
+  if constexpr (sizeof...(Rest) > 0) run_part(c - p.chunks, rest...);
+}
+
+// One region over several parts, numbered one after another.
+template <class... Parts>
+void region(ChunkTeam* team, const Parts&... parts) {
+  run_chunks(team, static_cast<std::size_t>((parts.chunks + ...)),
+             [&](std::size_t c) { run_part(static_cast<int>(c), parts...); });
+}
+
+auto forward_pass(const Mlp& net, Mlp::Cache& cache) {
+  return part(net.forward_chunks(cache), [&net, &cache](int k) { net.forward_chunk(cache, k); });
+}
+
+// The backprop begin_backprop() set up on `cache`, in `chunks` chunks.
+auto backprop_pass(const Mlp& net, Mlp::Cache& cache, int chunks) {
+  return part(chunks, [&net, &cache](int k) { net.backprop_chunk(cache, k); });
+}
+
+// A critic's parameter step: its gradient, its Adam step and, on the same
+// block, its target's Polyak update, which reads nothing else this update
+// writes.
+auto critic_step(Mlp& q, const Mlp::Cache& cache, const Mlp::AdamStep& a, Mlp& target,
+                 double tau) {
+  return part(q.param_chunks(), [&q, &cache, a, &target, tau](int k) {
+    q.grad_chunk(cache, k);
+    q.adam_chunk(a, k);
+    target.polyak_chunk(q, tau, k);
+  });
+}
+
+}  // namespace
+
+void SacAgent::update_once(ChunkTeam* team) {
   const std::size_t batch = std::min(cfg_.batch_size, buffer_.size());
   const int n = static_cast<int>(batch);
   const double inv_b = 1.0 / static_cast<double>(batch);
@@ -191,8 +242,11 @@ void SacAgent::update_once() {
   // Every phase runs the whole minibatch through each layer at once. Rows
   // keep their order everywhere — in the RNG draws, the loss sums and each
   // parameter gradient — so the result matches a sample-at-a-time update bit
-  // for bit (DESIGN.md §14.4). Input rows are [state] for the actor and
-  // [state | action] for the critics.
+  // for bit (DESIGN.md §14.4). The kernels run in regions of fixed chunks
+  // (on `team` and this thread, or inline), each pairing the two critics or
+  // taking passes that do not depend on each other; RNG draws and loss sums
+  // stay here, in order. Input rows are [state] for the actor and [state |
+  // action] for the critics.
   const auto put_state = [&](double* x, int row, int width, const std::vector<double>& state) {
     std::copy_n(state.data(), sdim, x + row * width);
   };
@@ -200,36 +254,44 @@ void SacAgent::update_once() {
     std::copy_n(action, dim, x + row * qin + sdim);
   };
 
-  // --- Critic update: y = r + gamma(1-done)(min Q'(s',a') - alpha log pi) ---
-  // a' ~ pi(s') for the non-terminal rows, scored by both target critics.
+  // The actor on s' (non-terminal rows) and on s, and both critics on (s, a):
+  // all read parameters no step has touched yet.
   s.live.clear();
   for (int r = 0; r < n; ++r)
     if (!s.samples[r]->done) s.live.push_back(r);
   const int m = static_cast<int>(s.live.size());
-  double* x = actor_.input(s.actor, m);
+  double* x = actor_.input(s.actor_next, m);
   for (int j = 0; j < m; ++j) put_state(x, j, sdim, s.samples[s.live[j]]->next_state);
-  sample_policy(actor_.forward(s.actor), m, s.next);
-  x = q1_target_.input(s.q1_target, m);
-  for (int j = 0; j < m; ++j) {
-    put_state(x, j, qin, s.samples[s.live[j]]->next_state);
-    put_action(x, j, &s.next.action[j * dim]);
-  }
-  std::copy_n(x, m * qin, q2_target_.input(s.q2_target, m));
-  const double* qt1 = q1_target_.forward(s.q1_target);
-  const double* qt2 = q2_target_.forward(s.q2_target);
-  s.y.resize(batch);
-  for (int r = 0; r < n; ++r) s.y[r] = s.samples[r]->reward;
-  for (int j = 0; j < m; ++j)
-    s.y[s.live[j]] += cfg_.gamma * (std::min(qt1[j], qt2[j]) - temp * s.next.log_prob[j]);
-
+  x = actor_.input(s.actor, n);
+  for (int r = 0; r < n; ++r) put_state(x, r, sdim, s.samples[r]->state);
   x = q1_.input(s.q1, n);
   for (int r = 0; r < n; ++r) {
     put_state(x, r, qin, s.samples[r]->state);
     put_action(x, r, s.samples[r]->action.data());
   }
   std::copy_n(x, n * qin, q2_.input(s.q2, n));
-  const double* q1v = q1_.forward(s.q1);
-  const double* q2v = q2_.forward(s.q2);
+  region(team, forward_pass(actor_, s.actor_next), forward_pass(actor_, s.actor),
+         forward_pass(q1_, s.q1), forward_pass(q2_, s.q2));
+
+  // --- Critic update: y = r + gamma(1-done)(min Q'(s',a') - alpha log pi) ---
+  // a' ~ pi(s') for the non-terminal rows, scored by both target critics.
+  sample_policy(s.actor_next.act.back().data(), m, s.next);
+  x = q1_target_.input(s.q1_target, m);
+  for (int j = 0; j < m; ++j) {
+    put_state(x, j, qin, s.samples[s.live[j]]->next_state);
+    put_action(x, j, &s.next.action[j * dim]);
+  }
+  std::copy_n(x, m * qin, q2_target_.input(s.q2_target, m));
+  region(team, forward_pass(q1_target_, s.q1_target), forward_pass(q2_target_, s.q2_target));
+  const double* qt1 = s.q1_target.act.back().data();
+  const double* qt2 = s.q2_target.act.back().data();
+  s.y.resize(batch);
+  for (int r = 0; r < n; ++r) s.y[r] = s.samples[r]->reward;
+  for (int j = 0; j < m; ++j)
+    s.y[s.live[j]] += cfg_.gamma * (std::min(qt1[j], qt2[j]) - temp * s.next.log_prob[j]);
+
+  const double* q1v = s.q1.act.back().data();
+  const double* q2v = s.q2.act.back().data();
   double critic_loss = 0.0;
   s.dout1.resize(batch);
   s.dout2.resize(batch);
@@ -239,24 +301,25 @@ void SacAgent::update_once() {
     s.dout1[r] = 2.0 * (q1v[r] - y);
     s.dout2[r] = 2.0 * (q2v[r] - y);
   }
-  q1_.backward(s.q1, s.dout1.data(), inv_b, /*input_grad=*/false);
-  q2_.backward(s.q2, s.dout2.data(), inv_b, /*input_grad=*/false);
-  q1_.adam_step(cfg_.critic_lr);
-  q2_.adam_step(cfg_.critic_lr);
+  int k1 = q1_.begin_backprop(s.q1, s.dout1.data(), inv_b, nullptr, true, false);
+  int k2 = q2_.begin_backprop(s.q2, s.dout2.data(), inv_b, nullptr, true, false);
+  region(team, backprop_pass(q1_, s.q1, k1), backprop_pass(q2_, s.q2, k2));
+  region(team,
+         critic_step(q1_, s.q1, q1_.next_adam_step(cfg_.critic_lr), q1_target_, cfg_.tau),
+         critic_step(q2_, s.q2, q2_.next_adam_step(cfg_.critic_lr), q2_target_, cfg_.tau));
   last_critic_loss_ = critic_loss;
 
   // --- Actor update: minimize alpha*log pi - min Q(s, a(s)) ----------------
-  x = actor_.input(s.actor, n);
-  for (int r = 0; r < n; ++r) put_state(x, r, sdim, s.samples[r]->state);
-  sample_policy(actor_.forward(s.actor), n, s.pol);
+  sample_policy(s.actor.act.back().data(), n, s.pol);
   x = q1_.input(s.q1, n);
   for (int r = 0; r < n; ++r) {
     put_state(x, r, qin, s.samples[r]->state);
     put_action(x, r, &s.pol.action[r * dim]);
   }
   std::copy_n(x, n * qin, q2_.input(s.q2, n));
-  q1v = q1_.forward(s.q1);
-  q2v = q2_.forward(s.q2);
+  region(team, forward_pass(q1_, s.q1), forward_pass(q2_, s.q2));
+  q1v = s.q1.act.back().data();
+  q2v = s.q2.act.back().data();
   double actor_loss = 0.0;
   double mean_log_prob = 0.0;
   s.won[0].clear();
@@ -270,8 +333,11 @@ void SacAgent::update_once() {
   // differentiated only on the rows it won. No critic parameter gradient is
   // formed: the critics already took their step this round.
   s.dout1.assign(batch, -1.0);
-  const double* din1 = q1_.input_gradient(s.q1, s.dout1.data(), inv_b, &s.won[0]);
-  const double* din2 = q2_.input_gradient(s.q2, s.dout1.data(), inv_b, &s.won[1]);
+  k1 = q1_.begin_backprop(s.q1, s.dout1.data(), inv_b, &s.won[0], false, true);
+  k2 = q2_.begin_backprop(s.q2, s.dout1.data(), inv_b, &s.won[1], false, true);
+  region(team, backprop_pass(q1_, s.q1, k1), backprop_pass(q2_, s.q2, k2));
+  const double* din1 = s.q1.dact[0].data();
+  const double* din2 = s.q2.dact[0].data();
   // Assemble gradients w.r.t. the actor head [mean..., log_std...].
   s.dhead.assign(batch * 2 * dim, 0.0);
   for (int r = 0; r < n; ++r) {
@@ -294,8 +360,13 @@ void SacAgent::update_once() {
       if (!clamped) dhead[dim + d] = g_raw * std::exp(log_std[d]) * eps[d] - (temp * inv_b);
     }
   }
-  actor_.backward(s.actor, s.dhead.data(), 1.0, /*input_grad=*/false);
-  actor_.adam_step(cfg_.actor_lr);
+  region(team, backprop_pass(actor_, s.actor,
+                        actor_.begin_backprop(s.actor, s.dhead.data(), 1.0, nullptr, true, false)));
+  const Mlp::AdamStep step = actor_.next_adam_step(cfg_.actor_lr);
+  region(team, part(actor_.param_chunks(), [&](int k) {
+           actor_.grad_chunk(s.actor, k);
+           actor_.adam_chunk(step, k);
+         }));
   last_actor_loss_ = actor_loss;
 
   // --- Temperature update: d/dlogalpha of -logalpha*(logpi + target_H) -----
@@ -306,10 +377,7 @@ void SacAgent::update_once() {
   const double m_hat = alpha_m_ / (1.0 - std::pow(0.9, static_cast<double>(alpha_t_)));
   const double v_hat = alpha_v_ / (1.0 - std::pow(0.999, static_cast<double>(alpha_t_)));
   log_alpha_ -= cfg_.alpha_lr * m_hat / (std::sqrt(v_hat) + 1e-8);
-
-  // --- Target networks -------------------------------------------------------
-  q1_target_.soft_update_from(q1_, cfg_.tau);
-  q2_target_.soft_update_from(q2_, cfg_.tau);
+  // The target networks took their Polyak step beside the critics' Adam.
   ++updates_;
 }
 

@@ -57,12 +57,15 @@ class SacAgent {
   bool ready_to_update() const { return buffer_.size() >= cfg_.min_buffer_for_update; }
 
   /// Run `steps` gradient updates (critic, actor, temperature, targets).
+  /// Their kernels run in regions on the context's chunk team when it has
+  /// one (obs::RunContext::chunk_team), with the same bits as inline.
   void update(int steps = 1);
 
   /// Wire the agent to a run's observability: register training metrics
   /// (update count, losses, temperature) with `ctx`'s registry and record
-  /// update events into its trace. nullptr detaches. The context must
-  /// outlive the agent (or be detached first).
+  /// update events into its trace; updates take the context's chunk team.
+  /// nullptr detaches. The context must outlive the agent (or be detached
+  /// first).
   void set_run_context(obs::RunContext* ctx);
 
   double alpha() const;
@@ -106,13 +109,13 @@ class SacAgent {
     std::vector<int> won[2];  // rows where Q1 (resp. Q2) is the smaller
     std::vector<double> y, dout1, dout2, dhead;
     PolicyBatch next, pol;
-    Mlp::Cache actor, q1, q2, q1_target, q2_target;
+    Mlp::Cache actor_next, actor, q1, q2, q1_target, q2_target;
   };
 
   /// Draws one action per row of `head` (`rows × 2·action_dim`, [mean...,
   /// log_std...]), taking action_dim Gaussians per row in row order.
   void sample_policy(const double* head, int rows, PolicyBatch& out);
-  void update_once();
+  void update_once(ChunkTeam* team);
 
   SacConfig cfg_;
   Rng rng_;
@@ -126,6 +129,7 @@ class SacAgent {
   double last_critic_loss_ = 0.0;
   double last_actor_loss_ = 0.0;
   std::uint64_t updates_ = 0;
+  obs::RunContext* ctx_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   faults::FaultInjector* faults_ = nullptr;
   obs::Counter* updates_c_ = nullptr;

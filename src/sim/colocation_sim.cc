@@ -1,5 +1,6 @@
 #include "sim/colocation_sim.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -92,6 +93,7 @@ ColocationSim::ColocationSim(const SimConfig& cfg, obs::RunContext* run_ctx) : c
   queue_ = std::make_unique<QueueSim>(*lc_, cfg.interval, seeder.next_u64());
   queue_->set_run_context(ctx_);
   be_measured_iters_.assign(be_.size(), 0.0);
+  be_split_.resize(be_.size());
 
   // --- Policy -------------------------------------------------------------------
   PolicyContext ctx;
@@ -181,6 +183,12 @@ void ColocationSim::run(const LoadPattern& pattern, Duration duration, bool meas
   SimTime interval_start = now_;
   const bool use_lanes = lanes_allowed();
   std::optional<TenantLanes> lanes;  // joined before run() returns
+  // Lent to the context once they start, for PP-M's SAC updates; taken
+  // back before they are joined.
+  struct LendGuard {
+    obs::RunContext* ctx;
+    ~LendGuard() { ctx->set_chunk_team(nullptr); }
+  } lend{ctx_};
   last_run_lanes_ = 0;
   while (now_ < end) {
     tr.set_now(now_);
@@ -245,7 +253,8 @@ void ColocationSim::tenant_phase_on_lanes(std::optional<TenantLanes>& lanes, Sim
   if (!lanes) {
     std::vector<BEWorkload*> tenants;
     for (auto& bw : be_) tenants.push_back(bw.get());
-    lanes.emplace(tenants, lane_cap_);
+    lanes.emplace(tenants, std::min(lane_cap_, tenants.size()));
+    ctx_->set_chunk_team(&*lanes);
     last_run_lanes_ = lanes->size();
     tenant_phase_wall_c_ = &metrics().counter(obs::names::kSimTenantPhaseWallUs);
     lane_join_wall_c_ = &metrics().counter(obs::names::kSimLaneJoinWallUs);
@@ -286,7 +295,7 @@ void ColocationSim::apply_contention(double lc_offered_rps) {
 
 double ColocationSim::joint_be_objective(const std::vector<std::uint64_t>& alloc) const {
   const std::size_t n = mem_->tier_count();
-  std::vector<TierValues> split(be_.size());
+  std::vector<TierValues>& split = be_split_;
   for (std::size_t i = 0; i < be_.size(); ++i)
     split[i] = be_[i]->split_at_hit(be_[i]->hit_fraction_at_pages(i < alloc.size() ? alloc[i] : 0));
   TierValues factor{}, lat{};

@@ -341,6 +341,9 @@ class ColocationSim {
 
   std::size_t lane_cap_ = 0;  // set_tenant_lanes; host_lane_limit() by default
   std::size_t last_run_lanes_ = 0;
+  // joint_be_objective()'s per-tenant tier splits, overwritten on every
+  // call (scratch, not state).
+  mutable std::vector<TierValues> be_split_;
 
   // Measurement phase bookkeeping. The §5.5 overhead aggregates are derived
   // from registry counters relative to marks captured at reset_stats().

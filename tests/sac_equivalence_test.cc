@@ -14,7 +14,9 @@
 // terminal transitions, a buffer smaller than the batch, a 2-d action, a 5-d
 // state and hidden widths that exercise every register-block remainder. Each
 // runs at the host's default vector level and again at every level the host
-// supports (common/simd_level.h).
+// supports (common/simd_level.h), and on chunk teams of 1, 2 and 3 helper
+// threads (common/chunk_team.h), whose saved state must equal the inline
+// run's byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,9 +29,12 @@
 
 #include "common/rng.h"
 #include "common/simd_level.h"
+#include "common/state_archive.h"
+#include "obs/run_context.h"
 #include "rl/mlp.h"
 #include "rl/replay_buffer.h"
 #include "rl/sac.h"
+#include "sim/tenant_lanes.h"
 
 namespace mtat {
 namespace {
@@ -371,11 +376,16 @@ const std::vector<Case>& cases() {
   return kCases;
 }
 
-/// Runs `c` on both agents, the batched one at `level`, then asserts
-/// bit-equal state.
-void expect_equivalent(const Case& c, SimdLevel level) {
+/// Runs `c` on both agents, the batched one at `level` with its kernels on
+/// `team` (inline when null), then asserts bit-equal state. Returns the
+/// batched agent's saved state: every parameter, gradient and Adam moment,
+/// the losses, the temperature, the replay ring and the RNG.
+std::string expect_equivalent(const Case& c, SimdLevel level, ChunkTeam* team = nullptr) {
   const SacConfig& cfg = c.cfg;
+  obs::RunContext ctx(obs::RunContext::TraceMode::kPrivate);
+  ctx.set_chunk_team(team);
   SacAgent agent(cfg);
+  agent.set_run_context(&ctx);
   agent.set_simd_level(level);
   RefSac ref(cfg);
   Rng env(cfg.seed + 1000);
@@ -397,13 +407,14 @@ void expect_equivalent(const Case& c, SimdLevel level) {
     agent.update(c.steps);
     ref.update(c.steps);
   }
-  ASSERT_GT(agent.updates_performed(), 0u);
+  EXPECT_GT(agent.updates_performed(), 0u);
 
   const char* names[] = {"actor", "q1", "q2", "q1_target", "q2_target"};
   for (int k = 0; k < 5; ++k) {
     const std::vector<double>& got = agent.networks()[k]->parameters();
     const std::vector<double>& want = ref.networks(k)->parameters();
-    ASSERT_EQ(got.size(), want.size()) << names[k];
+    EXPECT_EQ(got.size(), want.size()) << names[k];
+    if (got.size() != want.size()) continue;
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < got.size(); ++i) mismatches += bits(got[i]) != bits(want[i]);
     EXPECT_EQ(mismatches, 0u) << names[k] << " parameters differ";
@@ -415,10 +426,14 @@ void expect_equivalent(const Case& c, SimdLevel level) {
   const std::vector<double> probe = draw(cfg.state_dim, -1.0, 2.0);
   const std::vector<double> a_got = agent.act(probe);
   const std::vector<double> a_want = ref.act(probe);
-  ASSERT_EQ(a_got.size(), a_want.size());
-  for (std::size_t d = 0; d < a_got.size(); ++d)
+  EXPECT_EQ(a_got.size(), a_want.size());
+  for (std::size_t d = 0; d < std::min(a_got.size(), a_want.size()); ++d)
     EXPECT_EQ(bits(a_got[d]), bits(a_want[d])) << "next stochastic action, dim " << d;
   EXPECT_EQ(bits(agent.q_value(probe, a_want)), bits(ref.q_value(probe, a_want)));
+  agent.set_run_context(nullptr);
+  StateArchive ar;
+  agent.persist(ar);
+  return ar.finish();
 }
 
 // Each case at the level the host picks by default...
@@ -449,6 +464,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<std::tuple<SimdLevel, int>>& info) {
       return std::string(simd_level_name(std::get<0>(info.param))) + "_" +
              cases()[std::get<1>(info.param)].name;
+    });
+
+// On a chunk team the kernels' chunks run on whichever thread claims them:
+// 0 (inline), 1, 2 and 3 helpers must all give the same bits. The cases put
+// row-chunk edges in the kernels' tails (batch 13, odd widths, a buffer
+// smaller than the batch) and parameter-block edges mid-layer (a 64-wide
+// layer in eight blocks; a 37-wide input to 70 outputs in blocks of 13).
+const std::vector<Case>& team_cases() {
+  static const std::vector<Case> kCases = [] {
+    std::vector<Case> c{cases()[0], cases()[1], cases()[3], cases()[6]};
+    SacConfig wide = with_seed(27);
+    wide.hidden = {37, 70};
+    wide.batch_size = 29;
+    wide.min_buffer_for_update = 29;
+    c.push_back({"WideOddLayersSplitMidLayer", wide, 0.2, 5, 12, 3});
+    return c;
+  }();
+  return kCases;
+}
+
+class SacEquivalenceOnTeam : public testing::TestWithParam<std::tuple<SimdLevel, int>> {};
+
+TEST_P(SacEquivalenceOnTeam, EveryTeamSizeGivesTheInlineBits) {
+  const auto [level, c] = GetParam();
+  if (!host_supports(level)) GTEST_SKIP() << "host lacks " << simd_level_name(level);
+  const std::string inline_state = expect_equivalent(team_cases()[c], level);
+  for (const std::size_t helpers : {1, 2, 3}) {
+    TenantLanes team({}, helpers);
+    EXPECT_EQ(expect_equivalent(team_cases()[c], level, &team), inline_state)
+        << helpers << " helper(s): saved state differs from the inline run";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, SacEquivalenceOnTeam,
+    testing::Combine(testing::Values(SimdLevel::kSse2, SimdLevel::kAvx2, SimdLevel::kAvx512f),
+                     testing::Range(0, 5)),
+    [](const testing::TestParamInfo<std::tuple<SimdLevel, int>>& info) {
+      return std::string(simd_level_name(std::get<0>(info.param))) + "_" +
+             team_cases()[std::get<1>(info.param)].name;
     });
 
 }  // namespace

@@ -6,8 +6,10 @@
 //
 // This binary replaces the global operator new to count calls made on any
 // thread but the test's own, then drives an MTAT node through
-// intervals of PP-M decisions, PP-E plans and aging with lanes on. It is a
-// binary of its own so the counting allocator stays out of every other test.
+// intervals of PP-M decisions, PP-E plans and aging with lanes on. Those
+// intervals' SAC updates run their kernel chunks on the same lanes, so the
+// count covers on_interval too. It is a binary of its own so the counting
+// allocator stays out of every other test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <thread>
 
 #include "common/host_cpus.h"
+#include "obs/names.h"
 #include "sim/colocation_sim.h"
 #include "workloads/be/be_suite.h"
 
@@ -59,8 +62,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 namespace mtat {
 namespace {
 
-TEST(TenantLanesAlloc, LanesNeverAllocate) {
-  if (host_lane_limit() == 0) GTEST_SKIP() << "the host allows no tenant lane";
+SimConfig node_config() {
   SimConfig cfg;
   cfg.fmem = 32_MiB;
   cfg.smem = 512_MiB;
@@ -72,6 +74,12 @@ TEST(TenantLanesAlloc, LanesNeverAllocate) {
   cfg.interval = milliseconds(250);
   cfg.mtat.ppm.sac.min_buffer_for_update = 2;
   cfg.mtat.ppm.sac.batch_size = 4;
+  return cfg;
+}
+
+TEST(TenantLanesAlloc, LanesNeverAllocate) {
+  if (host_lane_limit() == 0) GTEST_SKIP() << "the host allows no tenant lane";
+  const SimConfig cfg = node_config();
   ColocationSim sim(cfg);
   sim.set_tenant_lanes(3);
   g_test_thread = std::this_thread::get_id();
@@ -85,6 +93,24 @@ TEST(TenantLanesAlloc, LanesNeverAllocate) {
     ASSERT_GT(sim.last_run_lanes(), 0u);
   }
   g_armed.store(false, std::memory_order_release);
+  EXPECT_EQ(g_off_test_allocations.load(), 0u);
+}
+
+TEST(TenantLanesAlloc, SacUpdatesOnLanesNeverAllocate) {
+  if (host_lane_limit() == 0) GTEST_SKIP() << "the host allows no tenant lane";
+  // An update every 50 ms on batches of up to 40 rows: five row chunks per
+  // forward pass, ten parameter blocks per critic, all claimable by lanes.
+  SimConfig cfg = node_config();
+  cfg.interval = milliseconds(50);
+  cfg.mtat.ppm.sac.batch_size = 40;
+  ColocationSim sim(cfg);
+  sim.set_tenant_lanes(3);
+  g_test_thread = std::this_thread::get_id();
+  g_armed.store(true, std::memory_order_release);
+  sim.run(LoadPattern::constant(0.6 * cfg.lc.max_load_krps * 1000.0), seconds(4));
+  g_armed.store(false, std::memory_order_release);
+  ASSERT_GT(sim.last_run_lanes(), 0u);
+  EXPECT_GT(sim.metrics().counter(obs::names::kRlUpdates).value(), 60.0);
   EXPECT_EQ(g_off_test_allocations.load(), 0u);
 }
 

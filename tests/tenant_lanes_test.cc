@@ -6,17 +6,24 @@
 // LC-only on two and three tiers with the bandwidth model on, over several
 // seeds, across a snapshot/restore in the middle of a run, and on ticks
 // where tenants emit no samples. Every other configuration must run inline.
+// Between ticks the lanes run regions of chunks (common/chunk_team.h): each
+// chunk exactly once, and neither a busy caller nor a busy lane holds the
+// others back by more than the chunk it is in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/chunk_team.h"
 #include "common/host_cpus.h"
 #include "faults/fault_plan.h"
+#include "obs/names.h"
 #include "sim/colocation_sim.h"
 #include "sim/experiments.h"
 #include "workloads/be/be_suite.h"
@@ -237,6 +244,73 @@ TEST(TenantLanes, NeverMoreThanTheHostAllowsAndNoneOutliveRun) {
   sim->set_tenant_lanes(0);
   sim->run(load(cfg, 0.5), milliseconds(30));
   EXPECT_EQ(sim->last_run_lanes(), 0u);
+}
+
+TEST(TenantLanesRegion, EveryChunkRunsExactlyOnce) {
+  for (const std::size_t helpers : {1, 2, 3}) {
+    TenantLanes team({}, helpers);
+    std::vector<int> hits;
+    for (std::size_t round = 0; round < 600; ++round) {
+      const std::size_t chunks = round % 41;
+      hits.assign(chunks, 0);
+      run_chunks(&team, chunks, [&hits](std::size_t c) { ++hits[c]; });
+      ASSERT_EQ(std::count(hits.begin(), hits.end(), 1), static_cast<long>(chunks))
+          << helpers << " helper(s), region of " << chunks;
+    }
+  }
+}
+
+TEST(TenantLanesRegion, LanesFinishTheRegionWhileTheCallerIsHeld) {
+  // The caller blocks in the first chunk it claims until the lanes have run
+  // every other one, so lanes never wait for the caller between chunks.
+  TenantLanes team({}, 2);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr int kChunks = 16;
+  std::atomic<int> by_lanes{0}, by_caller{0};
+  run_chunks(&team, kChunks, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      by_lanes.fetch_add(1);
+      return;
+    }
+    by_caller.fetch_add(1);
+    while (by_lanes.load() < kChunks - 1) std::this_thread::yield();
+  });
+  EXPECT_EQ(by_lanes.load() + by_caller.load(), kChunks);
+  EXPECT_LE(by_caller.load(), 1);
+}
+
+TEST(TenantLanesRegion, ACallerNeverWaitsForALaneBeyondItsChunk) {
+  // One lane stalls in the first chunk it claims until the caller has run
+  // every other one: a stolen lane holds a region by that chunk alone.
+  TenantLanes team({}, 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr int kChunks = 16;
+  std::atomic<int> by_lane{0}, by_caller{0};
+  run_chunks(&team, kChunks, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      by_caller.fetch_add(1);
+      return;
+    }
+    by_lane.fetch_add(1);
+    while (by_caller.load() < kChunks - 1) std::this_thread::yield();
+  });
+  EXPECT_EQ(by_lane.load() + by_caller.load(), kChunks);
+  EXPECT_LE(by_lane.load(), 1);
+}
+
+TEST(TenantLanesRegion, SacTrainedOnLanesMatchesInline) {
+  // Short intervals and a batch of 24 (three row chunks per pass): most
+  // intervals train SAC, in regions on the lanes between ticks.
+  SimConfig cfg = config(PolicyKind::kMtatFull, 2, 17);
+  cfg.interval = milliseconds(50);
+  cfg.mtat.ppm.sac.batch_size = 24;
+  auto on = make_sim(cfg, kForceOn);
+  auto off = make_sim(cfg, 0);
+  on->run(load(cfg, 0.6), seconds(3));
+  off->run(load(cfg, 0.6), seconds(3));
+  EXPECT_EQ(on->last_run_lanes(), lanes_expected(*on));
+  EXPECT_GT(on->metrics().counter(obs::names::kRlUpdates).value(), 40.0);
+  expect_same_sim(*on, *off);
 }
 
 }  // namespace
